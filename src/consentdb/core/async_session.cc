@@ -51,59 +51,59 @@ class UnreachableOracle : public consent::ProbeOracle {
 
 }  // namespace
 
-AsyncConsentSession::AsyncConsentSession(
-    const consent::SharedDatabase& sdb,
-    std::shared_ptr<const PreparedSession> prepared,
-    const SessionOptions& options)
+AsyncConsentSession::AsyncConsentSession(const consent::SharedDatabase& sdb,
+                                         const PreparedSession& prepared,
+                                         const SessionOptions& options)
     : sdb_(sdb),
-      prepared_(std::move(prepared)),
+      prepared_(prepared),
       options_(options),
       resilient_(options.retry.has_value()),
       policy_(options.retry.value_or(RetryPolicy{})),
       clock_(options.clock != nullptr ? options.clock : RealClock()) {}
 
 Result<std::unique_ptr<AsyncConsentSession>> AsyncConsentSession::Create(
-    const consent::SharedDatabase& sdb,
-    std::shared_ptr<const PreparedSession> prepared,
+    const consent::SharedDatabase& sdb, const PreparedSession& prepared,
     const SessionOptions& options) {
-  CONSENTDB_CHECK(prepared != nullptr, "null prepared session");
-  CONSENTDB_CHECK(options.spans == nullptr,
-                  "async sessions cannot carry spans across parking");
   std::unique_ptr<AsyncConsentSession> s(
-      new AsyncConsentSession(sdb, std::move(prepared), options));
-  s->session_start_ = s->clock_->NowNanos();
-
+      new AsyncConsentSession(sdb, prepared, options));
   obs::MetricsRegistry* metrics = options.metrics;
-  obs::Increment(metrics, "session.count");
-  const eval::ProvenanceProfile& profile = s->prepared_->provenance;
+  const eval::ProvenanceProfile& profile = prepared.provenance;
   s->pi_ = sdb.pool().Probabilities();
   s->state_ =
       std::make_unique<strategy::EvaluationState>(profile.dnfs, s->pi_);
   {
     obs::ScopedTimer timer(obs::MaybeHistogram(metrics, "session.select_ns"));
+    obs::Span span(options.spans, obs::names::kSpanSessionSelect);
     CONSENTDB_ASSIGN_OR_RETURN(
-        s->sel_, internal::SelectSessionStrategy(
-                     options.algorithm, profile, s->prepared_->single, options,
-                     s->pi_, s->state_.get()));
+        s->sel_, internal::SelectSessionStrategy(options.algorithm, profile,
+                                                 prepared.single, options,
+                                                 s->pi_, s->state_.get()));
   }
   if (metrics != nullptr) {
     obs::Increment(metrics,
                    ("session.algorithm." + s->sel_.strategy->name()).c_str());
-    s->retries_ = metrics->GetCounter("retry.count");
-    s->transient_ = metrics->GetCounter("retry.transient");
-    s->unavailable_ = metrics->GetCounter("retry.unavailable");
-    s->exhausted_ = metrics->GetCounter("retry.exhausted");
-    s->deadline_ = metrics->GetCounter("retry.deadline");
-    s->backoff_ns_ =
-        metrics->GetHistogram("retry.backoff_ns", obs::RetryBackoffBuckets());
   }
   if (options.tracer != nullptr) {
     options.tracer->set_algorithm(s->sel_.strategy->name());
+  }
+  if (s->resilient_) {
+    // The session deadline counts from here, when the probe loop starts.
+    s->session_start_ = s->clock_->NowNanos();
+    if (metrics != nullptr) {
+      s->retries_ = metrics->GetCounter("retry.count");
+      s->transient_ = metrics->GetCounter("retry.transient");
+      s->unavailable_ = metrics->GetCounter("retry.unavailable");
+      s->exhausted_ = metrics->GetCounter("retry.exhausted");
+      s->deadline_ = metrics->GetCounter("retry.deadline");
+      s->backoff_ns_ = metrics->GetHistogram("retry.backoff_ns",
+                                             obs::RetryBackoffBuckets());
+    }
   }
 
   strategy::RunInstrumentation instr;
   instr.metrics = metrics;
   instr.tracer = options.tracer;
+  instr.spans = options.spans;
   s->stepper_ = std::make_unique<strategy::SessionStepper>(
       *s->state_, *s->sel_.strategy, instr);
   return s;
@@ -125,13 +125,6 @@ void AsyncConsentSession::ResolveFromLedger(VarId x) {
 AsyncConsentSession::Step AsyncConsentSession::Pump() {
   while (true) {
     if (done_) return Step{Step::Kind::kDone, 0, 0};
-    // Session deadline first, as RetryingProber checks it before every
-    // attempt — including while parked in a backoff.
-    if (!expired_ && resilient_ && policy_.session_deadline_nanos > 0 &&
-        clock_->NowNanos() - session_start_ >= policy_.session_deadline_nanos) {
-      Expire();
-      continue;
-    }
     if (wake_at_.has_value()) {
       if (clock_->NowNanos() < *wake_at_) {
         return Step{Step::Kind::kWait, 0, *wake_at_};
@@ -143,6 +136,13 @@ AsyncConsentSession::Step AsyncConsentSession::Pump() {
       Finish();
       return Step{Step::Kind::kDone, 0, 0};
     }
+    // The session deadline is checked before every attempt (a backoff
+    // never parks past it), but not once nothing is left to probe.
+    if (resilient_ && policy_.session_deadline_nanos > 0 &&
+        clock_->NowNanos() - session_start_ >= policy_.session_deadline_nanos) {
+      Expire();
+      continue;
+    }
     if (awaiting_ == x) return Step{Step::Kind::kProbe, *x, 0};
     if (options_.ledger != nullptr &&
         options_.ledger->Lookup(*x).has_value()) {
@@ -151,7 +151,7 @@ AsyncConsentSession::Step AsyncConsentSession::Pump() {
     }
     awaiting_ = *x;
     attempts_ = 0;
-    probe_start_ = clock_->NowNanos();
+    if (resilient_) probe_start_ = clock_->NowNanos();
     return Step{Step::Kind::kProbe, *x, 0};
   }
 }
@@ -233,8 +233,9 @@ void AsyncConsentSession::OnFault(VarId x, ProbeFault fault) {
   if (backoff_ns_ != nullptr) {
     backoff_ns_->Observe(static_cast<uint64_t>(backoff));
   }
-  // Park instead of sleeping; clamped to the session deadline exactly like
-  // the blocking prober, so expiry is noticed promptly.
+  // Park until the backoff is over, but never past the session deadline: a
+  // full backoff that overshoots it would stall the expiry (and, served
+  // over the network, the client's error) until the wait ran out.
   int64_t wait_nanos = backoff;
   if (policy_.session_deadline_nanos > 0) {
     const int64_t remaining =
@@ -263,7 +264,7 @@ void AsyncConsentSession::Finish() {
   phase.resilient = resilient_;
   phase.num_retries = num_retries_;
   phase.failures = failures_;
-  report_ = internal::AssembleReport(sdb_, *prepared_, sel_, std::move(phase),
+  report_ = internal::AssembleReport(sdb_, prepared_, sel_, std::move(phase),
                                      options_);
   if (options_.tracer != nullptr) {
     for (obs::ProbeEvent& ev : options_.tracer->mutable_events()) {
@@ -274,7 +275,7 @@ void AsyncConsentSession::Finish() {
   done_ = true;
 }
 
-const Result<SessionReport>& AsyncConsentSession::report() const {
+Result<SessionReport>& AsyncConsentSession::report() {
   CONSENTDB_CHECK(done_, "session still running");
   CONSENTDB_CHECK(report_.has_value(), "finished session without a report");
   return *report_;

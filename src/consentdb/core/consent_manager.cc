@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "consentdb/core/async_session.h"
 #include "consentdb/eval/targeted.h"
 #include "consentdb/obs/names.h"
 #include "consentdb/query/optimize.h"
@@ -22,7 +23,6 @@ using provenance::VarId;
 using query::PlanPtr;
 using relational::Tuple;
 using strategy::EvaluationState;
-using strategy::ProbeStrategy;
 
 const char* AlgorithmToString(Algorithm a) {
   switch (a) {
@@ -150,116 +150,6 @@ Result<StrategySelection> internal::SelectSessionStrategy(
   return sel;
 }
 
-namespace {
-
-// Wraps a fallible oracle in the session's RetryPolicy: transient faults are
-// retried with (deterministically jittered) exponential backoff, permanent
-// unavailability and exhausted budgets surface as kVariableLost, an expired
-// session deadline as kSessionExpired. All waiting goes through the injected
-// clock, so tests advance virtual time instead of sleeping.
-class RetryingProber {
- public:
-  RetryingProber(ProbeOracle& oracle, const RetryPolicy& policy, Clock* clock,
-                 obs::MetricsRegistry* metrics, obs::SpanCollector* spans)
-      : oracle_(oracle),
-        policy_(policy),
-        clock_(clock),
-        metrics_(metrics),
-        spans_(spans),
-        session_start_(clock->NowNanos()) {
-    if (metrics_ != nullptr) {
-      retries_ = metrics_->GetCounter("retry.count");
-      transient_ = metrics_->GetCounter("retry.transient");
-      unavailable_ = metrics_->GetCounter("retry.unavailable");
-      exhausted_ = metrics_->GetCounter("retry.exhausted");
-      deadline_ = metrics_->GetCounter("retry.deadline");
-      backoff_ns_ = metrics_->GetHistogram("retry.backoff_ns",
-                                           obs::RetryBackoffBuckets());
-    }
-  }
-
-  strategy::FallibleProbe operator()(VarId x) {
-    const int64_t probe_start = clock_->NowNanos();
-    size_t attempts = 0;
-    while (true) {
-      if (policy_.session_deadline_nanos > 0 &&
-          clock_->NowNanos() - session_start_ >=
-              policy_.session_deadline_nanos) {
-        failures_.session_deadline = 1;
-        return {strategy::ProbeOutcome::kSessionExpired, false};
-      }
-      consent::ProbeAttempt attempt = oracle_.TryProbe(x);
-      ++attempts;
-      if (attempt.ok()) {
-        return {strategy::ProbeOutcome::kAnswered, attempt.answer};
-      }
-      if (attempt.fault == consent::ProbeFault::kUnavailable) {
-        ++failures_.unavailable;
-        if (unavailable_ != nullptr) unavailable_->Add();
-        return {strategy::ProbeOutcome::kVariableLost, false};
-      }
-      ++failures_.transient;
-      if (transient_ != nullptr) transient_->Add();
-      if (policy_.max_attempts > 0 && attempts >= policy_.max_attempts) {
-        ++failures_.retries_exhausted;
-        if (exhausted_ != nullptr) exhausted_->Add();
-        return {strategy::ProbeOutcome::kVariableLost, false};
-      }
-      const int64_t backoff = policy_.BackoffNanos(attempts, x);
-      if (policy_.probe_deadline_nanos > 0 &&
-          clock_->NowNanos() + backoff - probe_start >
-              policy_.probe_deadline_nanos) {
-        ++failures_.probe_deadline;
-        if (deadline_ != nullptr) deadline_->Add();
-        return {strategy::ProbeOutcome::kVariableLost, false};
-      }
-      ++num_retries_;
-      if (retries_ != nullptr) retries_->Add();
-      if (backoff_ns_ != nullptr) {
-        backoff_ns_->Observe(static_cast<uint64_t>(backoff));
-      }
-      // Never sleep past the session deadline: a full backoff that
-      // overshoots it would stall the kSessionExpired verdict (and, served
-      // over the network, the client's error) until the sleep ran out.
-      int64_t wait_nanos = backoff;
-      if (policy_.session_deadline_nanos > 0) {
-        const int64_t remaining = session_start_ +
-                                  policy_.session_deadline_nanos -
-                                  clock_->NowNanos();
-        wait_nanos = std::min(wait_nanos, remaining > 0 ? remaining : 0);
-      }
-      {
-        // Backoff waits show up as retry.wait spans in the timeline (real
-        // duration under RealClock, near-zero under a VirtualClock).
-        obs::Span wait(spans_, obs::names::kSpanRetryWait);
-        wait.SetArg(obs::names::kArgAttempt, attempts);
-        clock_->SleepFor(wait_nanos);
-      }
-    }
-  }
-
-  size_t num_retries() const { return num_retries_; }
-  const FailureBreakdown& failures() const { return failures_; }
-
- private:
-  ProbeOracle& oracle_;
-  const RetryPolicy& policy_;
-  Clock* clock_;
-  obs::MetricsRegistry* metrics_;
-  obs::SpanCollector* spans_;
-  const int64_t session_start_;
-  size_t num_retries_ = 0;
-  FailureBreakdown failures_;
-  obs::Counter* retries_ = nullptr;
-  obs::Counter* transient_ = nullptr;
-  obs::Counter* unavailable_ = nullptr;
-  obs::Counter* exhausted_ = nullptr;
-  obs::Counter* deadline_ = nullptr;
-  obs::Histogram* backoff_ns_ = nullptr;
-};
-
-}  // namespace
-
 Result<PreparedSession> ConsentManager::Prepare(
     const PlanPtr& plan, std::optional<Tuple> single,
     const SessionOptions& options) const {
@@ -333,70 +223,38 @@ Result<SessionReport> ConsentManager::FinishSession(
     inner.ledger = nullptr;
     return FinishSession(prepared, ledger_oracle, inner, session_start);
   }
-  obs::MetricsRegistry* metrics = options.metrics;
-  const ProvenanceProfile& profile = prepared.provenance;
-  std::vector<double> pi = sdb_.pool().Probabilities();
-  EvaluationState state(profile.dnfs, pi);
-  internal::StrategySelection sel;
-  {
-    obs::ScopedTimer timer(obs::MaybeHistogram(metrics, "session.select_ns"));
-    obs::Span span(options.spans, obs::names::kSpanSessionSelect);
-    CONSENTDB_ASSIGN_OR_RETURN(
-        sel, internal::SelectSessionStrategy(options.algorithm, profile,
-                                             prepared.single, options, pi,
-                                             &state));
-  }
-  if (metrics != nullptr) {
-    obs::Increment(
-        metrics,
-        ("session.algorithm." + sel.strategy->name()).c_str());
-  }
-  if (options.tracer != nullptr) {
-    options.tracer->set_algorithm(sel.strategy->name());
-  }
-
-  strategy::RunInstrumentation instr;
-  instr.metrics = metrics;
-  instr.tracer = options.tracer;
-  instr.spans = options.spans;
-
-  internal::ProbePhase phase;
-  if (options.retry.has_value()) {
-    // Resilient path: probe through TryProbe under the retry policy; faults
-    // degrade to kUnresolved verdicts instead of aborting.
-    Clock* clock = options.clock != nullptr ? options.clock : RealClock();
-    RetryingProber prober(oracle, *options.retry, clock, metrics,
-                          options.spans);
-    strategy::ResilientProbeRun run = strategy::RunToCompletionResilient(
-        state, *sel.strategy, [&prober](VarId x) { return prober(x); }, instr);
-    phase.num_probes = run.num_probes;
-    phase.outcomes = std::move(run.outcomes);
-    phase.trace = std::move(run.trace);
-    phase.resilient = true;
-    phase.num_retries = prober.num_retries();
-    phase.failures = prober.failures();
-  } else {
-    // Legacy path: infallible oracle, byte-identical reports.
-    strategy::ProbeRun run = strategy::RunToCompletion(
-        state, *sel.strategy, [&oracle](VarId x) { return oracle.Probe(x); },
-        instr);
-    phase.num_probes = run.num_probes;
-    phase.outcomes = std::move(run.outcomes);
-    phase.trace = std::move(run.trace);
-  }
-
-  SessionReport report =
-      internal::AssembleReport(sdb_, prepared, sel, std::move(phase), options);
-  if (options.tracer != nullptr) {
-    // Enrich the runner's events with peer-facing identities; the runner
-    // only sees VarIds.
-    for (obs::ProbeEvent& ev : options.tracer->mutable_events()) {
-      ev.variable_name = sdb_.pool().name(ev.variable);
-      ev.owner = sdb_.pool().owner(ev.variable);
+  CONSENTDB_ASSIGN_OR_RETURN(std::unique_ptr<AsyncConsentSession> session,
+                             AsyncConsentSession::Create(sdb_, prepared,
+                                                         options));
+  // Drive the session inline: probes call the oracle directly (TryProbe
+  // under a retry policy, whose faults degrade to kUnresolved verdicts
+  // instead of aborting), and backoffs sleep on the session clock.
+  Clock* clock = options.clock != nullptr ? options.clock : RealClock();
+  for (AsyncConsentSession::Step step = session->Pump();
+       step.kind != AsyncConsentSession::Step::Kind::kDone;
+       step = session->Pump()) {
+    const VarId x = step.variable;
+    if (step.kind == AsyncConsentSession::Step::Kind::kWait) {
+      // Backoff waits show up as retry.wait spans in the timeline (real
+      // duration under RealClock, near-zero under a VirtualClock).
+      obs::Span wait(options.spans, obs::names::kSpanRetryWait);
+      wait.SetArg(obs::names::kArgAttempt, session->attempts());
+      clock->SleepFor(step.wake_at_nanos - clock->NowNanos());
+    } else if (!session->resilient()) {
+      session->OnAnswer(x, oracle.Probe(x));
+    } else {
+      const consent::ProbeAttempt attempt = oracle.TryProbe(x);
+      if (attempt.ok()) {
+        session->OnAnswer(x, attempt.answer);
+      } else {
+        session->OnFault(x, attempt.fault);
+      }
     }
+  }
+  if (options.tracer != nullptr) {
     options.tracer->set_session_nanos(obs::MonotonicNanos() - session_start);
   }
-  return report;
+  return std::move(session->report());
 }
 
 SessionReport internal::AssembleReport(const consent::SharedDatabase& sdb,

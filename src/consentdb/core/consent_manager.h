@@ -287,11 +287,11 @@ class ConsentManager {
   const consent::SharedDatabase& sdb_;
 };
 
-// --- Session internals shared with the async (network-serving) path ---------
+// --- Session internals --------------------------------------------------------
 //
-// AsyncConsentSession reproduces FinishSession's pipeline with the probe
-// loop inverted; these helpers are the pieces both paths must share so their
-// reports stay byte-identical. Not part of the public API surface.
+// The steps AsyncConsentSession composes into a session, exposed so that
+// the session benchmark (perfbench/) can time each one on its own. Not part
+// of the public API surface.
 namespace internal {
 
 // A chosen probing strategy plus the explanation reports carry.

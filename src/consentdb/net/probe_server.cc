@@ -300,7 +300,7 @@ void ProbeServer::HandleOpen(uint64_t cid, const OpenSession& m) {
   core::SessionOptions opts = engine_.base_session_options();
   opts.ledger = engine_.shared_ledger();
   opts.clock = clock_;
-  opts.spans = nullptr;  // spans are RAII scopes and cannot park
+  opts.spans = nullptr;  // spans are thread-scoped; sessions park across polls
   opts.tracer = nullptr;
 
   int64_t deadline = m.deadline_nanos > 0 ? m.deadline_nanos
@@ -318,9 +318,10 @@ void ProbeServer::HandleOpen(uint64_t cid, const OpenSession& m) {
             : deadline;
   }
 
+  obs::Increment(opts.metrics, "session.count");
   Result<std::unique_ptr<core::AsyncConsentSession>> run =
       core::AsyncConsentSession::Create(engine_.manager().shared_database(),
-                                        *prepared, opts);
+                                        **prepared, opts);
   if (!run.ok()) {
     SendOnConn(cid, ErrorMsg{m.session_id, WireStatusCode(run.status().code()),
                              run.status().message(), 0});
@@ -333,6 +334,7 @@ void ProbeServer::HandleOpen(uint64_t cid, const OpenSession& m) {
   s.sql = m.sql;
   s.has_single = m.has_single;
   s.single_csv = m.single_csv;
+  s.prepared = std::move(*prepared);
   s.run = std::move(*run);
   s.conn = cid;
   s.deadline_abs = deadline > 0 ? clock_->NowNanos() + deadline : 0;
@@ -379,6 +381,7 @@ void ProbeServer::PumpSession(ServerSession& s) {
 void ProbeServer::CompleteSession(ServerSession& s) {
   s.report_json = s.run->report()->ToJson();
   s.run.reset();
+  s.prepared.reset();
   s.completed = true;
   s.failed = false;
   if (s.engine_registered) {
@@ -393,11 +396,13 @@ void ProbeServer::CompleteSession(ServerSession& s) {
 }
 
 void ProbeServer::FailSession(ServerSession& s, const Status& error) {
-  s.run.reset();
-  s.completed = true;
-  s.failed = true;
+  // `error` may live in s.run's report: copy it before releasing the run.
   s.error_code = WireStatusCode(error.code());
   s.error_message = error.message();
+  s.run.reset();
+  s.prepared.reset();
+  s.completed = true;
+  s.failed = true;
   if (s.engine_registered) {
     engine_.ReleasePendingSession(s.engine_reg);
     s.engine_registered = false;

@@ -136,6 +136,8 @@ class ProbeServer {
     std::string sql;
     uint8_t has_single = 0;
     std::string single_csv;
+    // The prepared query `run` reads; declared first so it outlives `run`.
+    std::shared_ptr<const core::PreparedSession> prepared;
     std::unique_ptr<core::AsyncConsentSession> run;
     uint64_t conn = 0;  // owning connection; 0 = detached (parked)
     int64_t deadline_abs = 0;  // 0 = none

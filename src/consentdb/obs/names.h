@@ -22,7 +22,7 @@ namespace consentdb::obs::names {
 
 // One full consent session: Decide()/RunPrepared() entry to SessionReport.
 inline constexpr char kSpanSessionRun[] = "session.run";
-// Strategy construction + selection inside FinishSession.
+// Strategy construction + selection inside AsyncConsentSession::Create.
 inline constexpr char kSpanSessionSelect[] = "session.select";
 // One probe decision: simplify -> rescore -> pick variable -> ask owner.
 inline constexpr char kSpanSessionProbe[] = "session.probe";

@@ -78,33 +78,12 @@ BudgetedProbeRun RunWithBudget(EvaluationState& state, ProbeStrategy& strategy,
                                const ProbeFn& probe, size_t max_probes,
                                const RunInstrumentation& instr) {
   BudgetedProbeRun run;
-  obs::Histogram* decision_ns =
-      obs::MaybeHistogram(instr.metrics, "strategy.decision_ns");
-  while (!state.AllDecided() && run.num_probes < max_probes) {
-    const int64_t t0 = instr.enabled() ? obs::MonotonicNanos() : 0;
-    VarId x = strategy.ChooseNext(state);
-    const int64_t deliberation =
-        instr.enabled() ? obs::MonotonicNanos() - t0 : 0;
-    CONSENTDB_CHECK(state.IsUseful(x),
-                    "strategy chose a useless or known variable");
-    bool answer = probe(x);
-    state.Assign(x, answer);
-    strategy.OnAnswer(state, x, answer);
+  SessionStepper stepper(state, strategy, instr);
+  while (run.num_probes < max_probes) {
+    std::optional<VarId> x = stepper.Next();
+    if (!x.has_value()) break;
+    stepper.OnAnswer(probe(*x));
     ++run.num_probes;
-    obs::Increment(instr.metrics, "probe.count");
-    if (decision_ns != nullptr) {
-      decision_ns->Observe(static_cast<uint64_t>(deliberation));
-    }
-    if (instr.tracer != nullptr) {
-      obs::ProbeEvent ev;
-      ev.probe_index = run.num_probes - 1;
-      ev.variable = x;
-      ev.answer = answer;
-      ev.decision_nanos = deliberation;
-      ev.formulas_decided = state.num_formulas() - state.num_undecided();
-      ev.formulas_remaining = state.num_undecided();
-      instr.tracer->OnProbe(std::move(ev));
-    }
   }
   run.outcomes = state.FormulaValues();
   for (Truth t : run.outcomes) {

@@ -59,7 +59,9 @@ struct BudgetedProbeRun {
 };
 
 // Probes sequentially with `strategy` but stops after `max_probes` (or when
-// everything is decided, whichever comes first).
+// everything is decided, whichever comes first). A driver over
+// SessionStepper, so it records the same events and metrics as
+// RunToCompletion.
 BudgetedProbeRun RunWithBudget(EvaluationState& state, ProbeStrategy& strategy,
                                const ProbeFn& probe, size_t max_probes,
                                const RunInstrumentation& instr = {});

@@ -73,9 +73,15 @@ OptimalDp::Decision OptimalDp::Solve(const std::vector<Dnf>& residual) {
   return SolveImpl(residual);
 }
 
+void OptimalDp::set_excluded(std::set<VarId> excluded) {
+  excluded_ = std::move(excluded);
+  memo_.clear();
+}
+
 OptimalDp::Decision OptimalDp::SolveImpl(const std::vector<Dnf>& residual) {
   std::vector<VarId> vars = UsefulVarsOf(residual);
-  if (vars.empty()) return Decision{};  // everything decided
+  std::erase_if(vars, [this](VarId x) { return excluded_.contains(x); });
+  if (vars.empty()) return Decision{};  // nothing left that can be probed
   std::string key = StateKey(residual);
   auto it = memo_.find(key);
   if (it != memo_.end()) return it->second;
@@ -152,7 +158,16 @@ OptimalStrategy::OptimalStrategy(std::vector<Dnf> dnfs,
 }
 
 VarId OptimalStrategy::ChooseNext(EvaluationState& state) {
-  (void)state;  // the DP runs on our own residual copy
+  // The DP runs on our own residual copy; the state only tells it which
+  // variables were lost since the last choice.
+  if (state.num_unreachable() > num_excluded_) {
+    std::set<VarId> lost;
+    for (VarId x : state.AllVars()) {
+      if (state.IsUnreachable(x)) lost.insert(x);
+    }
+    num_excluded_ = lost.size();
+    dp_.set_excluded(std::move(lost));
+  }
   OptimalDp::Decision d = dp_.Solve(residual_);
   CONSENTDB_CHECK(d.best != provenance::kInvalidVar,
                   "OptimalStrategy asked to choose with nothing undecided");

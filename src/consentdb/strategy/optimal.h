@@ -5,6 +5,7 @@
 #ifndef CONSENTDB_STRATEGY_OPTIMAL_H_
 #define CONSENTDB_STRATEGY_OPTIMAL_H_
 
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -44,12 +45,19 @@ class OptimalDp {
   size_t max_vars() const { return max_vars_; }
   void set_max_vars(size_t n) { max_vars_ = n; }
 
+  // Variables that can no longer be probed (their peers were lost): the DP
+  // never chooses them, and a state whose only variables are excluded
+  // costs nothing more. Replacing the set clears the memo, whose values
+  // assumed the old one.
+  void set_excluded(std::set<VarId> excluded);
+
  private:
   Decision SolveImpl(const std::vector<Dnf>& residual);
 
   std::vector<double> pi_;
   Objective objective_;
   size_t max_vars_ = 20;
+  std::set<VarId> excluded_;
   std::unordered_map<std::string, Decision> memo_;
 };
 
@@ -71,7 +79,8 @@ size_t WorstCaseProbes(const std::vector<Dnf>& dnfs,
                        bool attach_cnfs = false);
 
 // The optimal DP packaged as a ProbeStrategy (exponential — small formulas
-// only). Maintains its own residual copy of the system.
+// only). Maintains its own residual copy of the system, and plans around
+// the variables the state reports unreachable.
 class OptimalStrategy : public ProbeStrategy {
  public:
   OptimalStrategy(std::vector<Dnf> dnfs, std::vector<double> pi,
@@ -85,6 +94,7 @@ class OptimalStrategy : public ProbeStrategy {
   std::vector<Dnf> residual_;
   PartialValuation val_;
   OptimalDp dp_;
+  size_t num_excluded_ = 0;  // unreachable variables dp_ already excludes
 };
 
 }  // namespace consentdb::strategy

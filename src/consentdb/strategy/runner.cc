@@ -18,150 +18,33 @@ size_t CountLiveTerms(const EvaluationState& state) {
 ProbeRun RunToCompletion(EvaluationState& state, ProbeStrategy& strategy,
                          const ProbeFn& probe,
                          const RunInstrumentation& instr) {
-  ProbeRun run;
-  // Every probe is recorded as exactly one tracer event; with no external
-  // tracer a session-local one backs ProbeRun::trace, so both views are
-  // always produced by the same code path.
-  obs::SessionTracer local_tracer;
-  obs::SessionTracer& tracer =
-      instr.tracer != nullptr ? *instr.tracer : local_tracer;
-  const size_t first_event = tracer.events().size();
-  const bool instrumented = instr.enabled();
-
-  // Hoist instrument pointers once; per-probe updates are then lock-free.
-  obs::Counter* probe_count = nullptr;
-  obs::Counter* answer_true = nullptr;
-  obs::Counter* answer_false = nullptr;
-  obs::Histogram* decision_ns = nullptr;
-  if (instr.metrics != nullptr) {
-    probe_count = instr.metrics->GetCounter("probe.count");
-    answer_true = instr.metrics->GetCounter("probe.answer_true");
-    answer_false = instr.metrics->GetCounter("probe.answer_false");
-    decision_ns = instr.metrics->GetHistogram("strategy.decision_ns");
-  }
-
-  while (!state.AllDecided()) {
-    obs::Span probe_span(instr.spans, obs::names::kSpanSessionProbe);
-    const int64_t t0 = instrumented ? obs::MonotonicNanos() : 0;
-    VarId x = strategy.ChooseNext(state);
-    const int64_t deliberation =
-        instrumented ? obs::MonotonicNanos() - t0 : 0;
-    CONSENTDB_CHECK(state.IsUseful(x),
-                    "strategy '" + strategy.name() +
-                        "' chose a useless or known variable: x" +
-                        std::to_string(x));
-    probe_span.SetArg(obs::names::kArgVariable, x);
-    bool answer = probe(x);
-    state.Assign(x, answer);
-    strategy.OnAnswer(state, x, answer);
-    ++run.num_probes;
-    run.total_cost += state.cost(x);
-
-    obs::ProbeEvent ev;
-    ev.probe_index = run.num_probes - 1;
-    ev.variable = x;
-    ev.answer = answer;
-    ev.decision_nanos = deliberation;
-    ev.formulas_decided = state.num_formulas() - state.num_undecided();
-    ev.formulas_remaining = state.num_undecided();
-    if (instrumented) ev.residual_terms = CountLiveTerms(state);
-    tracer.OnProbe(std::move(ev));
-
-    if (instr.metrics != nullptr) {
-      probe_count->Add();
-      (answer ? answer_true : answer_false)->Add();
-      decision_ns->Observe(static_cast<uint64_t>(deliberation));
-    }
-  }
-  run.outcomes = state.FormulaValues();
-
-  const std::vector<obs::ProbeEvent>& events = tracer.events();
-  run.trace.reserve(events.size() - first_event);
-  for (size_t i = first_event; i < events.size(); ++i) {
-    run.trace.emplace_back(events[i].variable, events[i].answer);
-  }
-  return run;
+  SessionStepper stepper(state, strategy, instr);
+  while (std::optional<VarId> x = stepper.Next()) stepper.OnAnswer(probe(*x));
+  ResilientProbeRun run = stepper.Take();
+  return ProbeRun{run.num_probes, run.total_cost, std::move(run.outcomes),
+                  std::move(run.trace)};
 }
 
 ResilientProbeRun RunToCompletionResilient(EvaluationState& state,
                                            ProbeStrategy& strategy,
                                            const FallibleProbeFn& probe,
                                            const RunInstrumentation& instr) {
-  ResilientProbeRun run;
-  obs::SessionTracer local_tracer;
-  obs::SessionTracer& tracer =
-      instr.tracer != nullptr ? *instr.tracer : local_tracer;
-  const size_t first_event = tracer.events().size();
-  const bool instrumented = instr.enabled();
-
-  obs::Counter* probe_count = nullptr;
-  obs::Counter* answer_true = nullptr;
-  obs::Counter* answer_false = nullptr;
-  obs::Counter* lost_vars = nullptr;
-  obs::Histogram* decision_ns = nullptr;
-  if (instr.metrics != nullptr) {
-    probe_count = instr.metrics->GetCounter("probe.count");
-    answer_true = instr.metrics->GetCounter("probe.answer_true");
-    answer_false = instr.metrics->GetCounter("probe.answer_false");
-    lost_vars = instr.metrics->GetCounter("probe.lost_vars");
-    decision_ns = instr.metrics->GetHistogram("strategy.decision_ns");
-  }
-
-  while (!state.AllDecided()) {
-    // Only a lost variable can make every remaining path undecidable, so the
-    // scan is skipped entirely on the (common) fault-free trajectory.
-    if (run.num_lost > 0 && !state.HasUsefulVar()) break;
-    obs::Span probe_span(instr.spans, obs::names::kSpanSessionProbe);
-    const int64_t t0 = instrumented ? obs::MonotonicNanos() : 0;
-    VarId x = strategy.ChooseNext(state);
-    const int64_t deliberation =
-        instrumented ? obs::MonotonicNanos() - t0 : 0;
-    CONSENTDB_CHECK(state.IsUseful(x),
-                    "strategy '" + strategy.name() +
-                        "' chose a useless or known variable: x" +
-                        std::to_string(x));
-    probe_span.SetArg(obs::names::kArgVariable, x);
-    FallibleProbe result = probe(x);
-    if (result.outcome == ProbeOutcome::kSessionExpired) {
-      run.session_expired = true;
-      break;
-    }
-    if (result.outcome == ProbeOutcome::kVariableLost) {
-      state.MarkUnreachable(x);
-      ++run.num_lost;
-      if (lost_vars != nullptr) lost_vars->Add();
-      continue;
-    }
-    const bool answer = result.answer;
-    state.Assign(x, answer);
-    strategy.OnAnswer(state, x, answer);
-    ++run.num_probes;
-    run.total_cost += state.cost(x);
-
-    obs::ProbeEvent ev;
-    ev.probe_index = run.num_probes - 1;
-    ev.variable = x;
-    ev.answer = answer;
-    ev.decision_nanos = deliberation;
-    ev.formulas_decided = state.num_formulas() - state.num_undecided();
-    ev.formulas_remaining = state.num_undecided();
-    if (instrumented) ev.residual_terms = CountLiveTerms(state);
-    tracer.OnProbe(std::move(ev));
-
-    if (instr.metrics != nullptr) {
-      probe_count->Add();
-      (answer ? answer_true : answer_false)->Add();
-      decision_ns->Observe(static_cast<uint64_t>(deliberation));
+  SessionStepper stepper(state, strategy, instr);
+  while (std::optional<VarId> x = stepper.Next()) {
+    const FallibleProbe result = probe(*x);
+    switch (result.outcome) {
+      case ProbeOutcome::kAnswered:
+        stepper.OnAnswer(result.answer);
+        break;
+      case ProbeOutcome::kVariableLost:
+        stepper.OnVariableLost();
+        break;
+      case ProbeOutcome::kSessionExpired:
+        stepper.OnSessionExpired();
+        break;
     }
   }
-  run.outcomes = state.FormulaValues();
-
-  const std::vector<obs::ProbeEvent>& events = tracer.events();
-  run.trace.reserve(events.size() - first_event);
-  for (size_t i = first_event; i < events.size(); ++i) {
-    run.trace.emplace_back(events[i].variable, events[i].answer);
-  }
-  return run;
+  return stepper.Take();
 }
 
 SessionStepper::SessionStepper(EvaluationState& state, ProbeStrategy& strategy,
@@ -172,13 +55,11 @@ SessionStepper::SessionStepper(EvaluationState& state, ProbeStrategy& strategy,
       tracer_(instr.tracer != nullptr ? instr.tracer : &local_tracer_),
       first_event_(tracer_->events().size()),
       instrumented_(instr.enabled()) {
-  CONSENTDB_CHECK(instr.spans == nullptr,
-                  "SessionStepper cannot carry spans across parking");
+  // Hoist instrument pointers once; per-probe updates are then lock-free.
   if (instr_.metrics != nullptr) {
     probe_count_ = instr_.metrics->GetCounter("probe.count");
     answer_true_ = instr_.metrics->GetCounter("probe.answer_true");
     answer_false_ = instr_.metrics->GetCounter("probe.answer_false");
-    lost_vars_ = instr_.metrics->GetCounter("probe.lost_vars");
     decision_ns_ = instr_.metrics->GetHistogram("strategy.decision_ns");
   }
 }
@@ -191,10 +72,15 @@ std::optional<VarId> SessionStepper::Next() {
     return std::nullopt;
   }
   if (pending_.has_value()) return pending_;
+  // Only a lost variable can make every remaining path undecidable, so the
+  // scan is skipped entirely on the (common) fault-free trajectory.
   if (state_.AllDecided() ||
       (run_.num_lost > 0 && !state_.HasUsefulVar())) {
     Finish();
     return std::nullopt;
+  }
+  if (instr_.spans != nullptr) {
+    probe_span_.emplace(instr_.spans, obs::names::kSpanSessionProbe);
   }
   const int64_t t0 = instrumented_ ? obs::MonotonicNanos() : 0;
   VarId x = strategy_.ChooseNext(state_);
@@ -203,6 +89,9 @@ std::optional<VarId> SessionStepper::Next() {
                   "strategy '" + strategy_.name() +
                       "' chose a useless or known variable: x" +
                       std::to_string(x));
+  if (probe_span_.has_value()) {
+    probe_span_->SetArg(obs::names::kArgVariable, x);
+  }
   pending_ = x;
   return pending_;
 }
@@ -231,6 +120,7 @@ void SessionStepper::OnAnswer(bool answer) {
     (answer ? answer_true_ : answer_false_)->Add();
     decision_ns_->Observe(static_cast<uint64_t>(pending_deliberation_));
   }
+  probe_span_.reset();
 }
 
 void SessionStepper::OnVariableLost() {
@@ -238,12 +128,14 @@ void SessionStepper::OnVariableLost() {
   state_.MarkUnreachable(*pending_);
   pending_.reset();
   ++run_.num_lost;
-  if (lost_vars_ != nullptr) lost_vars_->Add();
+  obs::Increment(instr_.metrics, "probe.lost_vars");
+  probe_span_.reset();
 }
 
 void SessionStepper::OnSessionExpired() {
   pending_.reset();
   expired_ = true;
+  probe_span_.reset();
 }
 
 void SessionStepper::Finish() {

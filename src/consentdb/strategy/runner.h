@@ -25,8 +25,8 @@ using ProbeFn = std::function<bool(VarId)>;
 struct RunInstrumentation {
   obs::MetricsRegistry* metrics = nullptr;
   obs::SessionTracer* tracer = nullptr;
-  // One session.probe span per probe iteration (deliberation + oracle
-  // round-trip, with retry.wait spans nested inside on the resilient path).
+  // One session.probe span per probe (deliberation + oracle round-trip,
+  // with retry.wait spans nested inside on the resilient path).
   obs::SpanCollector* spans = nullptr;
 
   // Whether the per-probe deliberation clock must run. A span-only session
@@ -111,13 +111,15 @@ ResilientProbeRun RunToCompletionResilient(EvaluationState& state,
                                            const FallibleProbeFn& probe,
                                            const RunInstrumentation& instr = {});
 
-// --- Inverted-control session loop (network serving) -------------------------
+// --- The probe loop ------------------------------------------------------------
 
-// RunToCompletionResilient with the control flow turned inside out: instead
-// of calling a probe function and blocking, the stepper *emits* the variable
-// it wants probed and parks until the caller reports what happened. This is
-// what lets ProbeServer keep hundreds of sessions in flight on one thread —
-// each session advances only when its client's answer arrives.
+// The one probing session loop, with the control flow turned inside out:
+// instead of calling a probe function and blocking, the stepper *emits* the
+// variable it wants probed and parks until the caller reports what happened.
+// RunToCompletion, RunToCompletionResilient and RunWithBudget are short
+// drivers over it, and it is what lets ProbeServer keep hundreds of sessions
+// in flight on one thread — each session advances only when its client's
+// answer arrives.
 //
 //   while (auto x = stepper.Next()) {        // nullopt == finished
 //     ... ship ProbeRequest(*x), await the client ...
@@ -127,13 +129,12 @@ ResilientProbeRun RunToCompletionResilient(EvaluationState& state,
 //
 // Next() is idempotent: until the pending variable is resolved by OnAnswer /
 // OnVariableLost it returns the same id again (safe to call after a resume).
-// Driven with the same strategy, state, and answers, the stepper issues the
-// byte-identical probe sequence — and the identical ResilientProbeRun — as
-// RunToCompletionResilient (a differential test holds this).
 //
-// `instr.spans` must be null: a span is an RAII scope and cannot survive
-// parking between Next() and OnAnswer. Metrics and tracer work as in the
-// blocking loops.
+// With `instr.spans` attached, one session.probe span stays open from the
+// Next() that chooses a variable until that probe resolves, so spans opened
+// meanwhile on the same thread (retry waits, WAL appends) nest under it.
+// Spans are thread-scoped: a stepper that parks across threads or event-loop
+// turns (the server's) must run with `instr.spans` null.
 class SessionStepper {
  public:
   SessionStepper(EvaluationState& state, ProbeStrategy& strategy,
@@ -153,8 +154,6 @@ class SessionStepper {
   // May be called with or without a pending probe.
   void OnSessionExpired();
 
-  bool finished() const { return finished_; }
-
   // The completed run; call only after Next() returned nullopt.
   ResilientProbeRun Take();
 
@@ -164,6 +163,8 @@ class SessionStepper {
   EvaluationState& state_;
   ProbeStrategy& strategy_;
   RunInstrumentation instr_;
+  // Records the probes when no tracer is attached, so the run's trace and
+  // a tracer's events always come from the same code path.
   obs::SessionTracer local_tracer_;
   obs::SessionTracer* tracer_;
   size_t first_event_;
@@ -172,10 +173,10 @@ class SessionStepper {
   obs::Counter* probe_count_ = nullptr;
   obs::Counter* answer_true_ = nullptr;
   obs::Counter* answer_false_ = nullptr;
-  obs::Counter* lost_vars_ = nullptr;
   obs::Histogram* decision_ns_ = nullptr;
 
   std::optional<VarId> pending_;
+  std::optional<obs::Span> probe_span_;  // open while pending_ (spans only)
   int64_t pending_deliberation_ = 0;
   bool expired_ = false;
   bool finished_ = false;

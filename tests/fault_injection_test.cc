@@ -14,6 +14,7 @@
 #include "consentdb/consent/faulty_oracle.h"
 #include "consentdb/consent/oracle.h"
 #include "consentdb/core/consent_manager.h"
+#include "consentdb/strategy/optimal.h"
 #include "consentdb/strategy/runner.h"
 #include "consentdb/strategy/strategies.h"
 #include "consentdb/obs/metrics.h"
@@ -487,16 +488,27 @@ TEST(ResilientRunnerTest, EveryStrategySurvivesLostVariables) {
   struct Named {
     std::string name;
     strategy::StrategyFactory factory;
+    bool attach_cnfs = false;
   };
   std::vector<Named> factories = {
       {"Random", strategy::MakeRandomFactory(17)},
       {"Freq", strategy::MakeFreqFactory()},
       {"RO", strategy::MakeRoFactory()},
+      {"Q-value", strategy::MakeQValueFactory(), /*attach_cnfs=*/true},
       {"General", strategy::MakeGeneralFactory()},
       {"Hybrid", strategy::MakeHybridFactory()},
+      // Optimal plans on its own residual copy of the formulas; it must
+      // still learn of the lost variable from the state.
+      {"Optimal",
+       [&dnfs, &pi] {
+         return std::make_unique<strategy::OptimalStrategy>(dnfs, pi);
+       }},
   };
   for (const Named& entry : factories) {
     EvaluationState state(dnfs, pi);
+    if (entry.attach_cnfs) {
+      ASSERT_TRUE(state.AttachCnfs().ok());
+    }
     std::unique_ptr<strategy::ProbeStrategy> strat = entry.factory();
     strategy::ResilientProbeRun run = strategy::RunToCompletionResilient(
         state, *strat, [](VarId x) {

@@ -378,6 +378,10 @@ TEST(RunnerInstrumentationTest, BudgetAndBatchRunnersRecord) {
         strategy::RunWithBudget(state, strat, probe, 2, instr);
     EXPECT_EQ(run.num_probes, 2u);
     EXPECT_EQ(registry.GetCounter("probe.count")->value(), 2u);
+    // The budgeted loop records exactly what the unbudgeted one does.
+    EXPECT_EQ(registry.GetCounter("probe.answer_true")->value() +
+                  registry.GetCounter("probe.answer_false")->value(),
+              registry.GetCounter("probe.count")->value());
     EXPECT_EQ(tracer.num_probes(), 2u);
   }
   tracer.Clear();

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "consentdb/consent/faulty_oracle.h"
 #include "consentdb/consent/oracle.h"
 #include "consentdb/consent/wal.h"
 #include "consentdb/core/consent_manager.h"
@@ -22,7 +23,9 @@
 #include "consentdb/obs/names.h"
 #include "consentdb/obs/span.h"
 #include "consentdb/strategy/runner.h"
+#include "consentdb/util/clock.h"
 #include "consentdb/util/io.h"
+#include "consentdb/util/rng.h"
 #include "consentdb/util/thread_pool.h"
 #include "test_fixtures.h"
 
@@ -391,6 +394,64 @@ TEST(SpanTest, SpanOnlyInstrumentationEnablesTheProbeClock) {
   SessionTracer tracer;
   instr.tracer = &tracer;
   EXPECT_TRUE(instr.enabled());
+}
+
+// The span contract of a resilient in-process session: one selection, one
+// probe span per probe that resolved (answered or lost), and one retry wait
+// per retry, each nested in the probe it delays.
+TEST(SpanTest, ResilientSessionSpansMatchItsReport) {
+  consent::SharedDatabase sdb = testing::RecruitmentDatabase();
+  core::ConsentManager manager(sdb);
+  size_t sessions_with_retries = 0;
+  size_t sessions_with_losses = 0;
+  for (uint64_t seed = 0; seed < 6; ++seed) {
+    SCOPED_TRACE("fault seed " + std::to_string(seed));
+    Rng rng(seed);
+    PartialValuation hidden = sdb.pool().SampleValuation(rng);
+    consent::FaultPlan plan;
+    plan.seed = 600 + seed;
+    plan.defaults.transient_failure_prob = 0.4;
+    plan.defaults.latency_nanos = 100'000;
+    plan.per_peer[seed % 2 == 0 ? "Alice" : "Bob"].permanently_unavailable =
+        true;
+    VirtualClock clock;
+    ValuationOracle backing(hidden);
+    consent::FaultyOracle faulty(backing, sdb.pool(), plan, &clock);
+    SpanCollector collector;
+    core::SessionOptions options;
+    options.retry = core::RetryPolicy{};
+    options.retry->max_attempts = 3;
+    options.clock = &clock;
+    options.spans = &collector;
+    Result<core::SessionReport> report =
+        manager.DecideAll(testing::RecruitmentQuerySql(), faulty, options);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+    std::vector<SpanRecord> spans = collector.Snapshot();
+    std::map<uint64_t, SpanRecord> by_id = ById(spans);
+    size_t select_spans = 0;
+    size_t probe_spans = 0;
+    size_t wait_spans = 0;
+    for (const SpanRecord& s : spans) {
+      const std::string name = s.name;
+      if (name == names::kSpanSessionSelect) ++select_spans;
+      if (name == names::kSpanSessionProbe) ++probe_spans;
+      if (name == names::kSpanRetryWait) {
+        ++wait_spans;
+        ASSERT_TRUE(by_id.count(s.parent_id)) << "orphaned retry.wait";
+        EXPECT_EQ(std::string(by_id.at(s.parent_id).name),
+                  names::kSpanSessionProbe);
+      }
+    }
+    EXPECT_EQ(select_spans, 1u);
+    EXPECT_EQ(probe_spans,
+              report->num_probes + report->failures.lost_probes());
+    EXPECT_EQ(wait_spans, report->num_retries);
+    if (report->num_retries > 0) ++sessions_with_retries;
+    if (report->failures.lost_probes() > 0) ++sessions_with_losses;
+  }
+  EXPECT_GT(sessions_with_retries, 0u);
+  EXPECT_GT(sessions_with_losses, 0u);
 }
 
 // TSAN target: many threads record nested spans while a reader exports.
