@@ -64,8 +64,8 @@ class SharedDatabase {
   // actual tuple inserts). Pool metadata edits (probabilities, owners) do
   // NOT bump it: they affect strategy choices, which are never cached, but
   // not the annotated evaluation the session engine's provenance cache
-  // stores. Cache entries keyed by (plan fingerprint, version) are
-  // invalidated by any mutation.
+  // stores. Cache entries stamped with a version are invalidated by any
+  // mutation.
   uint64_t version() const { return version_; }
 
  private:

@@ -159,13 +159,12 @@ Result<std::shared_ptr<const PreparedSession>> SessionEngine::ResolvePrepared(
                                  options));
     return std::make_shared<const PreparedSession>(std::move(prepared));
   }
-  const ProvKey key{entry.plan->Fingerprint(), version};
-  std::optional<std::shared_ptr<const PreparedSession>> cached =
-      prov_cache_.Get(key);
-  if (cached.has_value()) {
+  const uint64_t fingerprint = entry.plan->Fingerprint();
+  std::optional<ProvEntry> cached = prov_cache_.Get(fingerprint);
+  if (cached.has_value() && cached->version == version) {
     prov_hits_.fetch_add(1, std::memory_order_relaxed);
     obs::Increment(metrics, "cache.prov.hit");
-    return *cached;
+    return cached->prepared;
   }
   prov_misses_.fetch_add(1, std::memory_order_relaxed);
   obs::Increment(metrics, "cache.prov.miss");
@@ -174,7 +173,7 @@ Result<std::shared_ptr<const PreparedSession>> SessionEngine::ResolvePrepared(
       manager_.PrepareResolved(entry.plan, entry.effective, std::nullopt,
                                options));
   auto shared = std::make_shared<const PreparedSession>(std::move(prepared));
-  prov_cache_.Put(key, shared);
+  prov_cache_.Put(fingerprint, ProvEntry{shared, version});
   return shared;
 }
 

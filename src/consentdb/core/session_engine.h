@@ -5,13 +5,17 @@
 //
 //   * a plan cache   — SQL text -> parsed + optimized PlanPtr, so repeated
 //     queries skip the parser and the rewrite pass;
-//   * a provenance cache — (plan fingerprint, database version) ->
-//     PreparedSession (annotated output tuples + DNF provenance profile).
+//   * a provenance cache — plan fingerprint -> PreparedSession (annotated
+//     output tuples + DNF provenance profile), stamped with the database
+//     version it was built at.
 //     Provenance-annotated evaluation is the dominant per-session cost and
 //     is immutable until the database changes (cf. provenance
 //     materialization à la ProvSQL), so thousands of sessions asking the
 //     same query over one snapshot pay for it once. Any database mutation
-//     bumps SharedDatabase::version() and thereby invalidates every entry;
+//     bumps SharedDatabase::version() and thereby invalidates every entry:
+//     the next session over a fingerprint finds a stale stamp, counts a
+//     miss and overwrites the entry in place, so a server taking writes
+//     holds one entry per query, not one per version;
 //   * a consent ledger — a variable probed by any in-flight session is
 //     answered from the ledger for all others, so the engine never asks a
 //     peer the same question twice (consent answers are per-variable facts,
@@ -120,7 +124,7 @@ struct SessionRequest {
 // top of the per-session session.*/eval.*/strategy.* instruments:
 //   engine.sessions            counter  sessions executed
 //   cache.plan.hit/.miss       counters (stale-version hits count as miss)
-//   cache.prov.hit/.miss       counters
+//   cache.prov.hit/.miss       counters (stale-version hits count as miss)
 //   engine.ledger.hit          counter  probes answered without an oracle
 //   engine.queue_depth         gauge    tasks waiting for a worker
 //   engine.sessions_in_flight  gauge    sessions currently executing
@@ -225,7 +229,7 @@ class SessionEngine {
 
   // Drops every cached plan and prepared session. Only needed by tests and
   // memory-pressure handling: database mutations invalidate automatically
-  // through the version in the cache keys.
+  // through the version stamped on every entry.
   void InvalidateCaches();
 
   const ConsentManager& manager() const { return manager_; }
@@ -236,18 +240,9 @@ class SessionEngine {
     query::PlanPtr effective;
     uint64_t version = 0;
   };
-  struct ProvKey {
-    uint64_t fingerprint = 0;
+  struct ProvEntry {
+    std::shared_ptr<const PreparedSession> prepared;
     uint64_t version = 0;
-    bool operator==(const ProvKey& other) const {
-      return fingerprint == other.fingerprint && version == other.version;
-    }
-  };
-  struct ProvKeyHash {
-    size_t operator()(const ProvKey& k) const {
-      return static_cast<size_t>(
-          (k.fingerprint ^ (k.version * 0x9e3779b97f4a7c15ull)));
-    }
   };
 
   [[nodiscard]] Result<SessionReport> RunOne(const SessionRequest& request);
@@ -262,8 +257,7 @@ class SessionEngine {
   ConsentManager manager_;
   EngineOptions options_;
   LruCache<std::string, std::shared_ptr<const PlanEntry>> plan_cache_;
-  LruCache<ProvKey, std::shared_ptr<const PreparedSession>, ProvKeyHash>
-      prov_cache_;
+  LruCache<uint64_t, ProvEntry> prov_cache_;  // keyed by plan fingerprint
   // Plain ConsentLedger (ledger_shards == 1) or ShardedConsentLedger,
   // chosen once at construction; never null.
   std::unique_ptr<consent::ConsentLedger> ledger_;

@@ -124,33 +124,10 @@ bool NoSharedVars(const std::vector<VarSet>& sets) {
 // --- Bit-matrix transposition ----------------------------------------------
 //
 // Transposition works over a dense local universe: the distinct variables of
-// the input family, sorted ascending, each mapped to one bit. A family of
-// sets is then a flat row-major bit matrix (`words` uint64_t per row), and
-// the inner-loop operations — subset checks during absorption, pairwise
-// unions during merging, pivot frequency counts — become word-parallel
+// the input family, sorted ascending, each mapped to one bit (MaskFamily in
+// the header). The inner-loop operations — subset checks during absorption,
+// pairwise unions during merging, pivot frequency counts — are word-parallel
 // AND/OR/POPCNT instead of per-element walks over std::vector<VarId>.
-
-struct MaskFamily {
-  size_t words = 1;            // words per row (fixed for a whole transpose)
-  size_t count = 0;            // number of rows
-  std::vector<uint64_t> bits;  // count * words, row-major
-
-  const uint64_t* row(size_t i) const { return bits.data() + i * words; }
-  uint64_t* row(size_t i) { return bits.data() + i * words; }
-
-  void PushRow(const uint64_t* r) {
-    bits.insert(bits.end(), r, r + words);
-    ++count;
-  }
-  void PushEmptyRow() {
-    bits.insert(bits.end(), words, 0);
-    ++count;
-  }
-  void PushSingleton(size_t bit) {
-    PushEmptyRow();
-    row(count - 1)[bit / 64] = uint64_t{1} << (bit % 64);
-  }
-};
 
 bool RowIsZero(const uint64_t* r, size_t words) {
   for (size_t w = 0; w < words; ++w) {
@@ -167,20 +144,18 @@ bool RowSubsetOf(const uint64_t* a, const uint64_t* b, size_t words) {
   return true;
 }
 
-size_t RowPopcount(const uint64_t* r, size_t words) {
-  size_t n = 0;
-  for (size_t w = 0; w < words; ++w) n += __builtin_popcountll(r[w]);
-  return n;
-}
+}  // namespace
 
-// Absorption on the bit matrix: keeps only the minimal rows. The surviving
-// antichain is unique as a set, so row order within the family is free.
 void MinimizeMasks(MaskFamily* fam) {
   const size_t words = fam->words;
   std::vector<uint32_t> order(fam->count);
-  for (uint32_t i = 0; i < fam->count; ++i) order[i] = i;
+  std::vector<uint32_t> sizes(fam->count);
+  for (uint32_t i = 0; i < fam->count; ++i) {
+    order[i] = i;
+    sizes[i] = static_cast<uint32_t>(fam->RowSize(i));
+  }
   std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return RowPopcount(fam->row(a), words) < RowPopcount(fam->row(b), words);
+    return sizes[a] < sizes[b];
   });
   MaskFamily kept;
   kept.words = words;
@@ -199,6 +174,8 @@ void MinimizeMasks(MaskFamily* fam) {
   }
   *fam = std::move(kept);
 }
+
+namespace {
 
 // Merges two families of the dual form: dual(A ∨ B) = minimal pairwise
 // unions (bitwise ORs) of dual(A) and dual(B). Minimises periodically so the
@@ -264,10 +241,8 @@ Result<MaskFamily> MergeDualsMasked(const MaskFamily& left,
   return out;
 }
 
-// Dual transposition on the bit matrix: given a monotone formula as a
-// minimal family of rows, computes the family of the dual normal form
-// (hitting sets). This is both DNF->CNF and CNF->DNF for monotone formulas.
-//
+}  // namespace
+
 // Recursion pivots on the most frequent variable x, factoring
 //   ∨ rows  =  (x ∧ A) ∨ R,   A = {t \ {x} : x ∈ t},  R = {t : x ∉ t},
 // so that  dual(rows) = merge({{x}} ∪ dual(A), dual(R)).
@@ -354,6 +329,8 @@ Result<MaskFamily> TransposeMasked(const MaskFamily& fam, size_t num_bits,
                              TransposeMasked(without_pivot, num_bits, limits));
   return MergeDualsMasked(dual_xa, dual_r, limits);
 }
+
+namespace {
 
 // Converts between the VarSet and bit-matrix representations and runs the
 // masked transpose. The result is a minimal antichain but in recursion

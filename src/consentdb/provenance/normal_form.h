@@ -11,6 +11,7 @@
 #ifndef CONSENTDB_PROVENANCE_NORMAL_FORM_H_
 #define CONSENTDB_PROVENANCE_NORMAL_FORM_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -132,6 +133,59 @@ class Cnf {
 
 // Dual direction, used by tests.
 [[nodiscard]] Result<Dnf> CnfToDnf(const Cnf& cnf, NormalFormLimits limits = {});
+
+// --- Bit-matrix kernel -------------------------------------------------------
+//
+// DnfToCnf and CnfToDnf are thin wrappers over this kernel; callers that
+// already hold their sets as bits (EvaluationState's residual term masks)
+// use it directly. A family of sets lives over a dense local universe of
+// bits — for the tie-breaks below to match the VarSet conversions, bit i is
+// the i-th smallest variable of the universe — as a flat row-major bit
+// matrix, so subset checks, pairwise unions and pivot counts are
+// word-parallel AND/OR/POPCNT.
+
+struct MaskFamily {
+  size_t words = 1;            // words per row (fixed for a whole transpose)
+  size_t count = 0;            // number of rows
+  std::vector<uint64_t> bits;  // count * words, row-major
+
+  const uint64_t* row(size_t i) const { return bits.data() + i * words; }
+  uint64_t* row(size_t i) { return bits.data() + i * words; }
+  // Number of set bits (the set's size) of row i.
+  size_t RowSize(size_t i) const {
+    size_t n = 0;
+    for (size_t w = 0; w < words; ++w) n += __builtin_popcountll(row(i)[w]);
+    return n;
+  }
+
+  void PushRow(const uint64_t* r) {
+    bits.insert(bits.end(), r, r + words);
+    ++count;
+  }
+  void PushEmptyRow() {
+    bits.insert(bits.end(), words, 0);
+    ++count;
+  }
+  void PushSingleton(size_t bit) {
+    PushEmptyRow();
+    row(count - 1)[bit / 64] = uint64_t{1} << (bit % 64);
+  }
+};
+
+// Absorption on the bit matrix: keeps only the minimal rows (one copy of
+// each). The surviving antichain is unique as a set; rows come out in
+// ascending popcount order, ties in input order.
+void MinimizeMasks(MaskFamily* fam);
+
+// Dual transposition: given a monotone formula as a minimal family of rows
+// over `num_bits` bits, computes the family of its dual normal form (the
+// minimal hitting sets) — DNF terms to CNF clauses and back. The result is
+// a minimal antichain in recursion order, and both it and every budget
+// check along the way depend only on the set of input rows, not on their
+// order. Fails with ResourceExhausted when a family exceeds the budget.
+[[nodiscard]] Result<MaskFamily> TransposeMasked(const MaskFamily& fam,
+                                                 size_t num_bits,
+                                                 const NormalFormLimits& limits);
 
 }  // namespace consentdb::provenance
 

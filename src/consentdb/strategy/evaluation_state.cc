@@ -15,9 +15,25 @@ uint64_t TailMask(size_t n) {
   return rem == 0 ? ~uint64_t{0} : (uint64_t{1} << rem) - 1;
 }
 
+// Canonical (VarSet) order of two distinct rows of an antichain over an
+// ascending universe: neither is a prefix of the other, so the row holding
+// the lowest differing bit is the lexicographically smaller one.
+bool RowPrecedes(const uint64_t* a, const uint64_t* b, size_t words) {
+  for (size_t w = 0; w < words; ++w) {
+    const uint64_t diff = a[w] ^ b[w];
+    if (diff != 0) return (a[w] & diff & (~diff + 1)) != 0;
+  }
+  return false;
+}
+
+template <typename T>
+void Release(std::vector<T>* v) {
+  std::vector<T>().swap(*v);
+}
+
 }  // namespace
 
-EvaluationState::EvaluationState(std::vector<Dnf> dnfs,
+EvaluationState::EvaluationState(const std::vector<Dnf>& dnfs,
                                  std::vector<double> pi)
     : pi_(std::move(pi)), num_vars_(pi_.size()), val_(pi_.size()) {
   const size_t num_words = (num_vars_ + 63) / 64;
@@ -404,7 +420,9 @@ bool EvaluationState::TryAttachResidualCnfs(
   if (cnfs_attached_) return true;
   // Try the largest formulas first: when the brute-force CNF is infeasible
   // it is the big DNFs that blow the budget, and failing fast on them saves
-  // converting hundreds of small formulas for nothing.
+  // converting hundreds of small formulas for nothing. This order is also
+  // the clause-id order across formulas, which fixes Q-value's first-touch
+  // summation order and so its rounding and tie-breaks.
   std::vector<size_t> order;
   order.reserve(formulas_.size());
   for (size_t j = 0; j < formulas_.size(); ++j) {
@@ -413,64 +431,151 @@ bool EvaluationState::TryAttachResidualCnfs(
   std::sort(order.begin(), order.end(), [this](size_t a, size_t b) {
     return formulas_[a].live_terms > formulas_[b].live_terms;
   });
-  // Compute every CNF; commit only if all fit in the budget.
-  std::vector<std::pair<size_t, Cnf>> computed;
-  for (size_t j : order) {
+
+  // Each formula's live residual terms become bit rows over its own
+  // residual variables (bit i = the i-th smallest), read straight off the
+  // term masks; the dual rows go straight into the clause columns. The
+  // formulas are handed their clauses only once every CNF fits the budget.
+  std::vector<uint32_t> bit_of(num_vars_);
+  std::vector<VarId> universe;
+  provenance::MaskFamily rows;
+  std::vector<uint64_t> support;
+  std::vector<uint32_t> clause_order;
+  std::vector<uint32_t> clause_ends;
+  clause_ends.reserve(order.size());
+  clause_lit_off_.assign(1, 0);
+  // Returns false when formula j's CNF exceeds the budget.
+  auto append_cnf = [&](size_t j) {
     const FormulaInfo& f = formulas_[j];
-    std::vector<VarSet> residual_terms;
-    residual_terms.reserve(f.live_terms);
+    universe.clear();
     for (uint32_t tid = f.term_begin; tid < f.term_end; ++tid) {
       if (term_state_[tid] != TermState::kLive) continue;
-      std::vector<VarId> residual;
-      residual.reserve(term_unknown_[tid]);
-      ForEachMaskVar(tid, [&](VarId v) { residual.push_back(v); });
-      residual_terms.push_back(VarSet::FromSorted(std::move(residual)));
+      ForEachMaskVar(tid, [&](VarId v) { universe.push_back(v); });
+    }
+    const size_t literals = universe.size();
+    std::sort(universe.begin(), universe.end());
+    universe.erase(std::unique(universe.begin(), universe.end()),
+                   universe.end());
+    for (uint32_t b = 0; b < universe.size(); ++b) bit_of[universe[b]] = b;
+    rows.words = std::max<size_t>(1, (universe.size() + 63) / 64);
+    rows.count = 0;
+    rows.bits.clear();
+    for (uint32_t tid = f.term_begin; tid < f.term_end; ++tid) {
+      if (term_state_[tid] != TermState::kLive) continue;
+      rows.PushEmptyRow();
+      uint64_t* r = rows.row(rows.count - 1);
+      ForEachMaskVar(tid, [&](VarId v) {
+        r[bit_of[v] / 64] |= uint64_t{1} << (bit_of[v] % 64);
+      });
+    }
+    // Pairwise-disjoint (read-once) terms are already minimal. Otherwise
+    // minimise — without absorption the live terms need not be — so the
+    // kernel sees exactly the minimal residual DNF.
+    bool read_once = literals == universe.size();
+    if (!read_once) {
+      MinimizeMasks(&rows);
+      support.assign(rows.words, 0);
+      read_once = true;
+      for (size_t i = 0; i < rows.count; ++i) {
+        for (size_t w = 0; w < rows.words; ++w) {
+          if ((support[w] & rows.row(i)[w]) != 0) read_once = false;
+          support[w] |= rows.row(i)[w];
+        }
+      }
     }
     // Read-once fast path: with pairwise-disjoint terms the minimal CNF has
     // exactly prod(|term|) clauses, so infeasibility is decidable without
     // running the conversion.
-    Dnf residual_dnf(std::move(residual_terms));
-    if (residual_dnf.IsReadOnce()) {
+    if (read_once) {
       size_t product = 1;
-      bool over = false;
-      for (const VarSet& term : residual_dnf.terms()) {
-        product *= term.size();
-        if (product > limits.max_sets) {
-          over = true;
-          break;
+      for (size_t i = 0; i < rows.count; ++i) {
+        product *= rows.RowSize(i);
+        if (product > limits.max_sets) return false;
+      }
+    }
+    Result<provenance::MaskFamily> dual =
+        provenance::TransposeMasked(rows, universe.size(), limits);
+    if (!dual.ok()) return false;
+    // Canonical (sorted VarSet) clause order, as DnfToCnf returns it. No
+    // score or verdict depends on it, but clauses sharing their smallest
+    // variables then sit together, which keeps the var -> clause index
+    // build and Q-value scoring local on formulas with thousands of
+    // clauses (kernel order read ~10-20% slower at 1000 rows).
+    clause_order.resize(dual->count);
+    for (uint32_t i = 0; i < dual->count; ++i) clause_order[i] = i;
+    std::sort(clause_order.begin(), clause_order.end(),
+              [&](uint32_t a, uint32_t b) {
+                return RowPrecedes(dual->row(a), dual->row(b), dual->words);
+              });
+    for (uint32_t i : clause_order) {
+      const uint64_t* r = dual->row(i);
+      for (size_t w = 0; w < dual->words; ++w) {
+        for (uint64_t word = r[w]; word != 0; word &= word - 1) {
+          clause_lit_var_.push_back(
+              universe[w * 64 + static_cast<size_t>(__builtin_ctzll(word))]);
         }
       }
-      if (over) return false;
+      CloseClause(j);
     }
-    Result<Cnf> cnf = DnfToCnf(residual_dnf, limits);
-    if (!cnf.ok()) return false;
-    computed.emplace_back(j, std::move(*cnf));
+    return true;
+  };
+  for (size_t j : order) {
+    if (!append_cnf(j)) {
+      DropClauses();
+      return false;
+    }
+    clause_ends.push_back(static_cast<uint32_t>(clause_formula_.size()));
   }
-  for (auto& [j, cnf] : computed) RegisterClauses(j, cnf);
+  uint32_t begin = 0;
+  for (size_t i = 0; i < order.size(); ++i) {
+    CommitClauses(order[i], begin, clause_ends[i]);
+    begin = clause_ends[i];
+  }
   BuildClauseIndex();
   cnfs_attached_ = true;
   return true;
 }
 
 void EvaluationState::RegisterClauses(size_t j, const Cnf& cnf) {
-  FormulaInfo& f = formulas_[j];
-  f.clause_begin = static_cast<uint32_t>(clause_formula_.size());
+  const auto begin = static_cast<uint32_t>(clause_formula_.size());
   if (clause_lit_off_.empty()) clause_lit_off_.push_back(0);
   for (const VarSet& clause : cnf.clauses()) {
-    CONSENTDB_CHECK(!clause.empty(), "empty clause for undecided formula");
-    clause_formula_.push_back(static_cast<uint32_t>(j));
-    clause_state_.push_back(ClauseState::kLive);
-    clause_unknown_.push_back(static_cast<uint32_t>(clause.size()));
     clause_lit_var_.insert(clause_lit_var_.end(), clause.begin(),
                            clause.end());
-    clause_lit_off_.push_back(static_cast<uint32_t>(clause_lit_var_.size()));
+    CloseClause(j);
   }
-  f.clause_end = static_cast<uint32_t>(clause_formula_.size());
-  f.live_clauses = cnf.num_clauses();
+  CommitClauses(j, begin, static_cast<uint32_t>(clause_formula_.size()));
+}
+
+void EvaluationState::CloseClause(size_t j) {
+  const auto end = static_cast<uint32_t>(clause_lit_var_.size());
+  CONSENTDB_CHECK(end > clause_lit_off_.back(),
+                  "empty clause for undecided formula");
+  clause_formula_.push_back(static_cast<uint32_t>(j));
+  clause_state_.push_back(ClauseState::kLive);
+  clause_unknown_.push_back(end - clause_lit_off_.back());
+  clause_lit_off_.push_back(end);
+}
+
+void EvaluationState::CommitClauses(size_t j, uint32_t begin, uint32_t end) {
+  FormulaInfo& f = formulas_[j];
+  f.clause_begin = begin;
+  f.clause_end = end;
+  f.live_clauses = end - begin;
   // Freeze the DHK utility totals for the residual subproblem.
   f.qv_total_terms = static_cast<double>(f.qv_unknown_terms);
-  f.qv_total_clauses = static_cast<double>(cnf.num_clauses());
+  f.qv_total_clauses = static_cast<double>(f.live_clauses);
   MarkQValueDirty(j);
+}
+
+void EvaluationState::DropClauses() {
+  // The memory goes too: the state lives on after a failed attach (Auto
+  // falls back to General) and may have written most of a large CNF.
+  Release(&clause_formula_);
+  Release(&clause_state_);
+  Release(&clause_unknown_);
+  Release(&clause_lit_off_);
+  Release(&clause_lit_var_);
 }
 
 void EvaluationState::BuildClauseIndex() {
@@ -622,6 +727,22 @@ size_t EvaluationState::qv_unknown_terms(size_t j) const {
 size_t EvaluationState::live_clauses(size_t j) const {
   CONSENTDB_CHECK(j < formulas_.size(), "formula index out of range");
   return formulas_[j].live_clauses;
+}
+
+std::vector<VarSet> EvaluationState::LiveClauses(size_t j) const {
+  CONSENTDB_CHECK(j < formulas_.size(), "formula index out of range");
+  const FormulaInfo& f = formulas_[j];
+  std::vector<VarSet> out;
+  for (uint32_t cid = f.clause_begin; cid < f.clause_end; ++cid) {
+    if (clause_state_[cid] != ClauseState::kLive) continue;
+    std::vector<VarId> unknown;
+    for (uint32_t i = clause_lit_off_[cid]; i < clause_lit_off_[cid + 1];
+         ++i) {
+      if (!KnownBit(clause_lit_var_[i])) unknown.push_back(clause_lit_var_[i]);
+    }
+    out.push_back(VarSet::FromSorted(std::move(unknown)));
+  }
+  return out;
 }
 
 std::string EvaluationState::ToString() const {

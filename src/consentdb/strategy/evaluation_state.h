@@ -60,8 +60,9 @@ class EvaluationState {
   };
 
   // `pi[x]` is the probability that variable x is True; it must cover every
-  // variable occurring in `dnfs`.
-  EvaluationState(std::vector<Dnf> dnfs, std::vector<double> pi);
+  // variable occurring in `dnfs`. The DNFs are read, not kept: sessions over
+  // one prepared query share its profile's DNFs without copying them.
+  EvaluationState(const std::vector<Dnf>& dnfs, std::vector<double> pi);
 
   // --- CNF attachment (required by Q-value scoring) -----------------------
 
@@ -76,7 +77,9 @@ class EvaluationState {
   void AttachPrecomputedCnfs(const std::vector<Cnf>& cnfs);
 
   // Computes CNFs of the *residual* formulas (Hybrid's late attachment);
-  // returns true on success. No-op (true) when already attached.
+  // returns true on success. No-op (true) when already attached. All or
+  // nothing: when any CNF exceeds `limits`, no clause is kept and
+  // cnfs_attached() stays false, so a later call may retry.
   bool TryAttachResidualCnfs(provenance::NormalFormLimits limits = {});
 
   bool cnfs_attached() const { return cnfs_attached_; }
@@ -204,6 +207,8 @@ class EvaluationState {
   size_t live_terms(size_t j) const;
   size_t qv_unknown_terms(size_t j) const;
   size_t live_clauses(size_t j) const;
+  // Unknown variables of every live clause of formula j, in clause order.
+  std::vector<VarSet> LiveClauses(size_t j) const;
 
   std::string ToString() const;
 
@@ -282,6 +287,13 @@ class EvaluationState {
   // term (run after a True assignment touched the formula).
   void AbsorbWithin(size_t j);
   void RegisterClauses(size_t j, const Cnf& cnf);
+  // Closes the clause whose variables were just appended to
+  // clause_lit_var_ as one more live clause of formula j.
+  void CloseClause(size_t j);
+  // Hands formula j the clauses [begin, end) and freezes its DHK totals.
+  void CommitClauses(size_t j, uint32_t begin, uint32_t end);
+  // Empties the clause columns and releases their memory (failed attach).
+  void DropClauses();
   // Builds the var -> clause CSR index after all clauses are registered.
   void BuildClauseIndex();
 

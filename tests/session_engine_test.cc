@@ -340,6 +340,10 @@ TEST(SessionEngineTest, DatabaseMutationInvalidatesCaches) {
   stats = engine.cache_stats();
   EXPECT_EQ(stats.plan_misses, 2u);  // stale-version entry counts as a miss
   EXPECT_EQ(stats.provenance_misses, 2u);
+  // The re-prepared session replaces the stale one: a write leaves one
+  // entry per query, not one per database version.
+  EXPECT_EQ(stats.plan_entries, 1u);
+  EXPECT_EQ(stats.provenance_entries, 1u);
 
   // InvalidateCaches drops entries outright.
   engine.InvalidateCaches();
