@@ -12,7 +12,11 @@
 //              crashes after k answers;
 //   * ledger — the faulty mode with a ConsentLedger shared by the
 //              algorithms of one (query, seed), so later sessions hit it.
-// Optimal runs in the plain mode only.
+// Optimal runs in the plain mode only. A fourth mode pins single-tuple
+// sessions:
+//   * single — DecideSingle with the plain oracle on every output tuple of
+//              each query plus one tuple outside its result, on seeds 0, 3,
+//              6 and 9.
 //
 // Each session's digest covers the report's ToJson() (or the error), the
 // ledger's hit/oracle/faulted tallies and the final virtual time. The table
@@ -34,6 +38,8 @@
 #include "consentdb/consent/faulty_oracle.h"
 #include "consentdb/consent/oracle.h"
 #include "consentdb/core/consent_manager.h"
+#include "consentdb/eval/evaluate.h"
+#include "consentdb/query/parser.h"
 #include "consentdb/util/clock.h"
 #include "consentdb/util/io.h"
 #include "consentdb/util/rng.h"
@@ -200,6 +206,33 @@ Corpus RunCorpus() {
           }
         }
         corpus.ledger_hits += ledger.hits();
+      }
+    }
+  }
+  for (size_t q = 0; q < std::size(kQueries); ++q) {
+    relational::Relation result =
+        *eval::Evaluate(*query::ParseQuery(kQueries[q]), sdb.database());
+    std::vector<relational::Tuple> targets = result.tuples();
+    // Every corpus query outputs one string column.
+    targets.push_back(relational::Tuple{relational::Value("nobody")});
+    for (size_t t = 0; t < targets.size(); ++t) {
+      for (uint64_t seed = 0; seed < kSeeds; seed += 3) {
+        Rng rng(seed);
+        const PartialValuation hidden = sdb.pool().SampleValuation(rng);
+        for (Algorithm algorithm : kAlgorithms) {
+          ValuationOracle oracle(hidden);
+          SessionOptions options;
+          options.algorithm = algorithm;
+          options.random_seed = 100 + seed;
+          Result<SessionReport> report =
+              manager.DecideSingle(kQueries[q], targets[t], oracle, options);
+          corpus.sessions.push_back(
+              "single/q" + std::to_string(q) + "/t" + std::to_string(t) +
+              "/" + core::AlgorithmToString(algorithm) + "/seed" +
+              std::to_string(seed));
+          corpus.digests.push_back(Fnv1a(
+              report.ok() ? report->ToJson() : report.status().ToString()));
+        }
       }
     }
   }

@@ -18,8 +18,10 @@
 #include <vector>
 
 #include "consentdb/consent/oracle.h"
+#include "consentdb/consent/snapshot.h"
 #include "consentdb/core/consent_manager.h"
 #include "consentdb/core/session_engine.h"
+#include "consentdb/eval/evaluate.h"
 #include "consentdb/net/chaos_transport.h"
 #include "consentdb/net/frame.h"
 #include "consentdb/net/posix_transport.h"
@@ -236,6 +238,48 @@ TEST(ProbeServer, ProbeClientDecidesAgainstServer) {
   // The Ack released the completed session server-side.
   h.PumpUntil([] { return false; }, 3);
   EXPECT_EQ(h.server->stats().completed_sessions, 1u);
+}
+
+// Served single-tuple sessions: the snapshot row resolves against the
+// query's output schema and the report matches DecideSingle byte for byte;
+// a row outside the result comes back as kNotFound.
+TEST(ProbeServer, SingleTupleSessionsMatchDecideSingle) {
+  Harness h;
+  const std::string sql =
+      "SELECT DISTINCT s.name FROM JobSeekers s, Assignment a "
+      "WHERE s.sid = a.sid AND a.status = 'hired'";
+  Rng rng(11);
+  const PartialValuation hidden = h.sdb.pool().SampleValuation(rng);
+  ValuationOracle oracle(hidden);
+  ProbeClientOptions copts;
+  copts.clock = &h.clock;
+  copts.idle = [&h] {
+    h.server->Poll();
+    h.clock.Advance(100'000);
+  };
+  ProbeClient client(h.transport, "srv", &oracle, copts);
+
+  ConsentManager manager(h.sdb);
+  relational::Relation result =
+      *eval::Evaluate(*query::ParseQuery(sql), h.sdb.database());
+  ASSERT_GT(result.size(), 1u);
+  for (const relational::Tuple& t : result.tuples()) {
+    Result<std::string> json =
+        client.Decide(sql, consent::FormatSnapshotRow(t));
+    ASSERT_TRUE(json.ok()) << json.status().ToString();
+    ValuationOracle baseline_oracle(hidden);
+    Result<core::SessionReport> baseline =
+        manager.DecideSingle(sql, t, baseline_oracle);
+    ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+    EXPECT_EQ(*json, baseline->ToJson()) << t.ToString();
+  }
+
+  const relational::Tuple zoe{relational::Value("Zoe")};
+  Result<std::string> outside =
+      client.Decide(sql, consent::FormatSnapshotRow(zoe));
+  ASSERT_FALSE(outside.ok());
+  EXPECT_EQ(outside.status().code(), StatusCode::kNotFound)
+      << outside.status().ToString();
 }
 
 TEST(ProbeServer, AdmissionControlShedsBeyondInflightCap) {
