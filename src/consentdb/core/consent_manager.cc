@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "consentdb/core/async_session.h"
-#include "consentdb/eval/targeted.h"
 #include "consentdb/obs/names.h"
 #include "consentdb/query/optimize.h"
 #include "consentdb/strategy/expected_cost.h"
@@ -153,8 +152,8 @@ Result<StrategySelection> internal::SelectSessionStrategy(
 Result<PreparedSession> ConsentManager::Prepare(
     const PlanPtr& plan, std::optional<Tuple> single,
     const SessionOptions& options) const {
-  PlanPtr effective = plan;
-  if (options.optimize_plan) {
+  PlanPtr effective;
+  {
     obs::ScopedTimer timer(
         obs::MaybeHistogram(options.metrics, "query.optimize_ns"));
     CONSENTDB_ASSIGN_OR_RETURN(effective,
@@ -171,36 +170,20 @@ Result<PreparedSession> ConsentManager::PrepareResolved(
   prepared.plan = plan;
   prepared.effective = effective;
   prepared.single = single.has_value();
-  std::vector<provenance::BoolExprPtr> annotations;
-  CONSENTDB_ASSIGN_OR_RETURN(relational::Schema schema,
-                             effective->OutputSchema(sdb_.database()));
-  if (single.has_value()) {
-    // Targeted evaluation: the tuple's provenance is computed by pushing
-    // its values down the plan, without materialising the whole result.
-    obs::ScopedTimer timer(obs::MaybeHistogram(metrics, "eval.targeted_ns"));
-    CONSENTDB_ASSIGN_OR_RETURN(
-        provenance::BoolExprPtr annotation,
-        eval::AnnotationForTuple(effective, sdb_, *single));
-    prepared.tuples.push_back(*std::move(single));
-    annotations.push_back(std::move(annotation));
-  } else {
-    CONSENTDB_ASSIGN_OR_RETURN(
-        AnnotatedRelation annotated,
-        eval::EvaluateAnnotated(effective, sdb_, metrics));
-    prepared.tuples = annotated.tuples();
-    annotations = annotated.annotations();
+  // A single tuple's provenance is computed by pushing its values down the
+  // plan, without materialising the whole result.
+  CONSENTDB_ASSIGN_OR_RETURN(
+      AnnotatedRelation annotated,
+      eval::EvaluateAnnotated(effective, sdb_, metrics, single));
+  if (single.has_value() && !annotated.IndexOf(*single).has_value()) {
+    return Status::NotFound("tuple " + single->ToString() +
+                            " is not in the query result");
   }
-
   // Flatten to DNF and profile the provenance structure.
-  {
-    AnnotatedRelation subset(schema);
-    for (size_t i = 0; i < prepared.tuples.size(); ++i) {
-      subset.Insert(prepared.tuples[i], annotations[i]);
-    }
-    CONSENTDB_ASSIGN_OR_RETURN(
-        prepared.provenance,
-        eval::ProfileProvenance(subset, options.dnf_limits, metrics));
-  }
+  CONSENTDB_ASSIGN_OR_RETURN(
+      prepared.provenance,
+      eval::ProfileProvenance(annotated, options.dnf_limits, metrics));
+  prepared.tuples = annotated.tuples();
 
   // Classify the plan the session actually relies on (the effective one);
   // the submitted plan's class is kept alongside for reporting, without
@@ -384,15 +367,12 @@ Result<SessionReport> ConsentManager::DecideSingle(
 
 Result<QueryAnalysis> ConsentManager::Analyze(
     const PlanPtr& plan, const SessionOptions& options) const {
+  CONSENTDB_ASSIGN_OR_RETURN(PreparedSession prepared,
+                             Prepare(plan, std::nullopt, options));
   QueryAnalysis analysis;
-  analysis.profile = query::Classify(*plan, options.metrics);
+  analysis.profile = prepared.profile;
   analysis.guarantees = query::GuaranteesFor(analysis.profile);
-  CONSENTDB_ASSIGN_OR_RETURN(
-      AnnotatedRelation annotated,
-      eval::EvaluateAnnotated(plan, sdb_, options.metrics));
-  CONSENTDB_ASSIGN_OR_RETURN(
-      analysis.provenance,
-      eval::ProfileProvenance(annotated, options.dnf_limits, options.metrics));
+  analysis.provenance = std::move(prepared.provenance);
   return analysis;
 }
 

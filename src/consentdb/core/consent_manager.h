@@ -74,9 +74,6 @@ struct RetryPolicy {
 
 struct SessionOptions {
   Algorithm algorithm = Algorithm::kAuto;
-  // Rewrite the plan (selection pushdown) before evaluation. Provenance is
-  // plan-invariant, so this only affects evaluation time, never probing.
-  bool optimize_plan = true;
   // Budgets for flattening provenance to DNF and for CNF computation.
   provenance::NormalFormLimits dnf_limits = {};
   provenance::NormalFormLimits cnf_limits = {};
@@ -172,8 +169,8 @@ struct SessionReport {
   // byte-identical.
   bool cnf_attach_failed = false;
   // Classification of the plan the session actually evaluated and selected
-  // its strategy from (the optimized plan when optimization is on) — the
-  // class whose Table I guarantees the session relied on.
+  // its strategy from (the optimized plan) — the class whose Table I
+  // guarantees the session relied on.
   query::QueryProfile query_profile;
   // Classification of the plan as submitted, before optimization. Usually
   // identical; selection pushdown cannot change the fragment letters, but
@@ -213,12 +210,12 @@ struct QueryAnalysis {
 // (plan fingerprint, database version).
 struct PreparedSession {
   query::PlanPtr plan;       // as submitted
-  query::PlanPtr effective;  // after optional optimization
+  query::PlanPtr effective;  // after optimization
   query::QueryProfile profile;            // classification of `effective`
   query::QueryProfile submitted_profile;  // classification of `plan`
   std::vector<relational::Tuple> tuples;  // output tuples (or the target)
   eval::ProvenanceProfile provenance;     // per-tuple DNFs + structure
-  bool single = false;  // built by targeted (single-tuple) evaluation
+  bool single = false;  // built for one target tuple (DecideSingle)
 };
 
 class ConsentManager {
@@ -244,20 +241,23 @@ class ConsentManager {
                                      consent::ProbeOracle& oracle,
                                      const SessionOptions& options = {}) const;
 
-  // Evaluates and profiles a query without probing.
+  // Prepares a query without probing: the classification of the plan it
+  // evaluates, its Table I guarantees and its provenance profile.
   [[nodiscard]] Result<QueryAnalysis> Analyze(const query::PlanPtr& plan,
                                 const SessionOptions& options = {}) const;
 
   // --- Split pipeline (used by the session engine's caches) -----------------
 
-  // The oracle-independent phase: optimizes (per options), evaluates with
-  // provenance tracking, flattens to DNF and classifies. The result depends
-  // only on the plan and the current database content, never on an oracle.
+  // The oracle-independent phase: optimizes, evaluates with provenance
+  // tracking (only the target's provenance when `single` is set), flattens
+  // to DNF and classifies. The result depends only on the plan and the
+  // current database content, never on an oracle. A `single` tuple outside
+  // the query result is NotFound.
   [[nodiscard]] Result<PreparedSession> Prepare(const query::PlanPtr& plan,
                                   std::optional<relational::Tuple> single,
                                   const SessionOptions& options = {}) const;
   // Same, with the optimized plan supplied by the caller (the engine's plan
-  // cache); options.optimize_plan is ignored.
+  // cache).
   [[nodiscard]] Result<PreparedSession> PrepareResolved(
       const query::PlanPtr& plan, const query::PlanPtr& effective,
       std::optional<relational::Tuple> single,

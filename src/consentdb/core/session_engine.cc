@@ -133,12 +133,10 @@ Result<SessionEngine::PlanEntry> SessionEngine::ResolvePlan(
     obs::Increment(metrics, "cache.plan.miss");
     CONSENTDB_ASSIGN_OR_RETURN(entry.plan, query::ParseQuery(request.sql));
   }
-  if (options.optimize_plan) {
+  {
     obs::ScopedTimer timer(obs::MaybeHistogram(metrics, "query.optimize_ns"));
     CONSENTDB_ASSIGN_OR_RETURN(entry.effective,
                                query::Optimize(entry.plan, sdb_.database()));
-  } else {
-    entry.effective = entry.plan;
   }
   if (cacheable) {
     plan_cache_.Put(request.sql, std::make_shared<const PlanEntry>(entry));

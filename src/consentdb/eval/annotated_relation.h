@@ -24,9 +24,6 @@ class AnnotatedRelation {
   const std::vector<relational::Tuple>& tuples() const { return tuples_; }
   const relational::Tuple& tuple(size_t i) const;
   const provenance::BoolExprPtr& annotation(size_t i) const;
-  const std::vector<provenance::BoolExprPtr>& annotations() const {
-    return annotations_;
-  }
 
   // Set-semantics insert: a duplicate tuple's annotation is OR-ed into the
   // existing one (the union/projection rule of the provenance construction).

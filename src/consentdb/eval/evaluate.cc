@@ -1,6 +1,7 @@
 #include "consentdb/eval/evaluate.h"
 
 #include <functional>
+#include <optional>
 
 #include "consentdb/util/check.h"
 
@@ -18,8 +19,22 @@ using relational::Database;
 using relational::Relation;
 using relational::Schema;
 using relational::Tuple;
+using relational::Value;
 
 namespace {
+
+// Per-output-column equality constraints (nullopt = unconstrained), pushed
+// down the plan from a target tuple.
+using ColumnConstraints = std::vector<std::optional<Value>>;
+
+bool Matches(const Tuple& t, const ColumnConstraints& constraints) {
+  for (size_t i = 0; i < constraints.size(); ++i) {
+    if (constraints[i].has_value() && !(t.at(i) == *constraints[i])) {
+      return false;
+    }
+  }
+  return true;
+}
 
 // Resolves projection columns against the child schema.
 Result<std::vector<size_t>> ProjectionIndexes(const Plan& plan,
@@ -34,13 +49,19 @@ Result<std::vector<size_t>> ProjectionIndexes(const Plan& plan,
   return indexes;
 }
 
+using LeafAnnotation = std::function<Result<BoolExprPtr>(
+    const std::string& relation, size_t tuple_index)>;
+
 // The single recursive evaluator, generic over the annotation bookkeeping so
-// the plain and annotated paths cannot drift apart. `MakeLeafAnnotation`
-// produces the annotation of a scanned base tuple.
-Result<AnnotatedRelation> EvaluateImpl(
-    const PlanPtr& plan, const Database& db,
-    const std::function<Result<BoolExprPtr>(const std::string& relation,
-                                            size_t tuple_index)>& leaf) {
+// the plain and annotated paths cannot drift apart. `leaf` produces the
+// annotation of a scanned base tuple. Non-null `constraints` (sized like
+// the plan's output schema) restrict the result to the tuples satisfying
+// them; null leaves the evaluation unconstrained and computes no schema or
+// constraint split on the way down.
+Result<AnnotatedRelation> EvaluateImpl(const PlanPtr& plan,
+                                       const Database& db,
+                                       const LeafAnnotation& leaf,
+                                       const ColumnConstraints* constraints) {
   CONSENTDB_CHECK(plan != nullptr, "null plan");
   switch (plan->kind()) {
     case PlanKind::kScan: {
@@ -49,6 +70,9 @@ Result<AnnotatedRelation> EvaluateImpl(
                                  db.GetRelation(plan->relation()));
       AnnotatedRelation out(std::move(schema));
       for (size_t i = 0; i < rel->size(); ++i) {
+        if (constraints != nullptr && !Matches(rel->tuple(i), *constraints)) {
+          continue;
+        }
         CONSENTDB_ASSIGN_OR_RETURN(BoolExprPtr ann,
                                    leaf(plan->relation(), i));
         out.Insert(rel->tuple(i), std::move(ann));
@@ -56,8 +80,9 @@ Result<AnnotatedRelation> EvaluateImpl(
       return out;
     }
     case PlanKind::kSelect: {
-      CONSENTDB_ASSIGN_OR_RETURN(AnnotatedRelation child,
-                                 EvaluateImpl(plan->child(0), db, leaf));
+      CONSENTDB_ASSIGN_OR_RETURN(
+          AnnotatedRelation child,
+          EvaluateImpl(plan->child(0), db, leaf, constraints));
       CONSENTDB_ASSIGN_OR_RETURN(PredicatePtr bound,
                                  plan->predicate()->Bind(child.schema()));
       AnnotatedRelation out(child.schema());
@@ -69,8 +94,31 @@ Result<AnnotatedRelation> EvaluateImpl(
       return out;
     }
     case PlanKind::kProject: {
-      CONSENTDB_ASSIGN_OR_RETURN(AnnotatedRelation child,
-                                 EvaluateImpl(plan->child(0), db, leaf));
+      // Translate output-column constraints to the projected input columns.
+      ColumnConstraints pushed;
+      if (constraints != nullptr) {
+        CONSENTDB_ASSIGN_OR_RETURN(Schema child_schema,
+                                   plan->child(0)->OutputSchema(db));
+        CONSENTDB_ASSIGN_OR_RETURN(std::vector<size_t> indexes,
+                                   ProjectionIndexes(*plan, child_schema));
+        pushed.resize(child_schema.num_columns());
+        for (size_t i = 0; i < indexes.size(); ++i) {
+          const std::optional<Value>& wanted = (*constraints)[i];
+          if (!wanted.has_value()) continue;
+          // Two projected outputs can reference the same input column; the
+          // constraints must then agree or the result is empty.
+          std::optional<Value>& slot = pushed[indexes[i]];
+          if (slot.has_value() && !(*slot == *wanted)) {
+            CONSENTDB_ASSIGN_OR_RETURN(Schema schema, plan->OutputSchema(db));
+            return AnnotatedRelation(std::move(schema));
+          }
+          slot = wanted;
+        }
+      }
+      CONSENTDB_ASSIGN_OR_RETURN(
+          AnnotatedRelation child,
+          EvaluateImpl(plan->child(0), db, leaf,
+                       constraints != nullptr ? &pushed : nullptr));
       CONSENTDB_ASSIGN_OR_RETURN(Schema schema, plan->OutputSchema(db));
       CONSENTDB_ASSIGN_OR_RETURN(std::vector<size_t> indexes,
                                  ProjectionIndexes(*plan, child.schema()));
@@ -81,10 +129,24 @@ Result<AnnotatedRelation> EvaluateImpl(
       return out;
     }
     case PlanKind::kProduct: {
-      CONSENTDB_ASSIGN_OR_RETURN(AnnotatedRelation left,
-                                 EvaluateImpl(plan->child(0), db, leaf));
-      CONSENTDB_ASSIGN_OR_RETURN(AnnotatedRelation right,
-                                 EvaluateImpl(plan->child(1), db, leaf));
+      // Split the constraints at the left input's width.
+      ColumnConstraints left_constraints;
+      ColumnConstraints right_constraints;
+      if (constraints != nullptr) {
+        CONSENTDB_ASSIGN_OR_RETURN(Schema left_schema,
+                                   plan->child(0)->OutputSchema(db));
+        auto split = constraints->begin() + left_schema.num_columns();
+        left_constraints.assign(constraints->begin(), split);
+        right_constraints.assign(split, constraints->end());
+      }
+      CONSENTDB_ASSIGN_OR_RETURN(
+          AnnotatedRelation left,
+          EvaluateImpl(plan->child(0), db, leaf,
+                       constraints != nullptr ? &left_constraints : nullptr));
+      CONSENTDB_ASSIGN_OR_RETURN(
+          AnnotatedRelation right,
+          EvaluateImpl(plan->child(1), db, leaf,
+                       constraints != nullptr ? &right_constraints : nullptr));
       CONSENTDB_ASSIGN_OR_RETURN(Schema schema, plan->OutputSchema(db));
       AnnotatedRelation out(std::move(schema));
       for (size_t i = 0; i < left.size(); ++i) {
@@ -99,8 +161,10 @@ Result<AnnotatedRelation> EvaluateImpl(
       CONSENTDB_ASSIGN_OR_RETURN(Schema schema, plan->OutputSchema(db));
       AnnotatedRelation out(std::move(schema));
       for (const PlanPtr& c : plan->children()) {
+        // Branch schemas agree positionally (types), so the constraints
+        // forward unchanged.
         CONSENTDB_ASSIGN_OR_RETURN(AnnotatedRelation child,
-                                   EvaluateImpl(c, db, leaf));
+                                   EvaluateImpl(c, db, leaf, constraints));
         for (size_t i = 0; i < child.size(); ++i) {
           out.Insert(child.tuple(i), child.annotation(i));
         }
@@ -116,17 +180,28 @@ Result<AnnotatedRelation> EvaluateImpl(
 Result<Relation> Evaluate(const PlanPtr& plan, const Database& db) {
   CONSENTDB_ASSIGN_OR_RETURN(
       AnnotatedRelation annotated,
-      EvaluateImpl(plan, db, [](const std::string&, size_t) {
-        return Result<BoolExprPtr>(BoolExpr::True());
-      }));
+      EvaluateImpl(
+          plan, db,
+          [](const std::string&, size_t) {
+            return Result<BoolExprPtr>(BoolExpr::True());
+          },
+          /*constraints=*/nullptr));
   return annotated.ToRelation();
 }
 
-Result<AnnotatedRelation> EvaluateAnnotated(const PlanPtr& plan,
-                                            const SharedDatabase& sdb,
-                                            obs::MetricsRegistry* metrics) {
+Result<AnnotatedRelation> EvaluateAnnotated(
+    const PlanPtr& plan, const SharedDatabase& sdb,
+    obs::MetricsRegistry* metrics, const std::optional<Tuple>& target) {
   const Database& db = sdb.database();
   obs::ScopedTimer timer(obs::MaybeHistogram(metrics, "eval.annotate_ns"));
+  ColumnConstraints constraints;
+  if (target.has_value()) {
+    CONSENTDB_ASSIGN_OR_RETURN(Schema schema, plan->OutputSchema(db));
+    if (target->size() != schema.num_columns()) {
+      return Status::InvalidArgument("tuple arity does not match the query");
+    }
+    constraints.assign(target->values().begin(), target->values().end());
+  }
   Result<AnnotatedRelation> annotated = EvaluateImpl(
       plan, db,
       [&sdb](const std::string& relation,
@@ -134,7 +209,8 @@ Result<AnnotatedRelation> EvaluateAnnotated(const PlanPtr& plan,
         CONSENTDB_ASSIGN_OR_RETURN(provenance::VarId var,
                                    sdb.AnnotationOf(relation, tuple_index));
         return BoolExpr::Var(var);
-      });
+      },
+      target.has_value() ? &constraints : nullptr);
   if (metrics != nullptr && annotated.ok()) {
     obs::Increment(metrics, "eval.output_tuples", annotated->size());
   }

@@ -8,6 +8,8 @@
 #ifndef CONSENTDB_EVAL_EVALUATE_H_
 #define CONSENTDB_EVAL_EVALUATE_H_
 
+#include <optional>
+
 #include "consentdb/consent/shared_database.h"
 #include "consentdb/eval/annotated_relation.h"
 #include "consentdb/obs/metrics.h"
@@ -25,9 +27,18 @@ namespace consentdb::eval {
 // consent variables of the input tuples it derives from. With `metrics`
 // attached, records the provenance build time (eval.annotate_ns) and the
 // output size (eval.output_tuples).
+//
+// With a `target` tuple, only that tuple's provenance is computed, without
+// evaluating the whole query (proof of Prop. IV.11): its values are pushed
+// down the plan as per-column equality constraints, so scans surface only
+// matching rows, products split the constraints between their sides,
+// projections translate them to input columns and unions forward them.
+// The result then holds the target alone, or nothing when the target is
+// not in Q(D); a target of the wrong arity is InvalidArgument.
 [[nodiscard]] Result<AnnotatedRelation> EvaluateAnnotated(
     const query::PlanPtr& plan, const consent::SharedDatabase& sdb,
-    obs::MetricsRegistry* metrics = nullptr);
+    obs::MetricsRegistry* metrics = nullptr,
+    const std::optional<relational::Tuple>& target = std::nullopt);
 
 // Def. II.6 implemented literally: evaluates `plan` over the sub-database of
 // consented tuples. Used to cross-check EvaluateAnnotated (Prop. III.2).

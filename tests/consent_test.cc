@@ -3,6 +3,7 @@
 #include "consentdb/consent/oracle.h"
 #include "consentdb/consent/shared_database.h"
 #include "consentdb/consent/variable_pool.h"
+#include "consentdb/core/consent_manager.h"
 #include "test_fixtures.h"
 
 namespace consentdb::consent {
@@ -179,6 +180,45 @@ TEST(CallbackOracleTest, MemoisesAnswers) {
   EXPECT_FALSE(oracle.Probe(3));
   EXPECT_EQ(calls, 2);
   EXPECT_EQ(oracle.probe_count(), 2u);
+}
+
+// --- ReplayOracle ------------------------------------------------------------------
+
+TEST(ReplayOracleTest, AnswersFromRecordedTrace) {
+  ReplayOracle oracle({{3, true}, {1, false}});
+  EXPECT_FALSE(oracle.Probe(1));
+  EXPECT_TRUE(oracle.Probe(3));
+  EXPECT_EQ(oracle.probe_count(), 2u);
+}
+
+TEST(ReplayOracleTest, ReproducesASessionExactly) {
+  SharedDatabase sdb = testing::RecruitmentDatabase();
+  core::ConsentManager manager(sdb);
+  provenance::PartialValuation hidden(sdb.pool().size());
+  Rng rng(8);
+  for (VarId x = 0; x < sdb.pool().size(); ++x) {
+    hidden.Set(x, rng.Bernoulli(0.5));
+  }
+  ValuationOracle original_oracle(hidden);
+  core::SessionReport original =
+      *manager.DecideAll(testing::RecruitmentQuerySql(), original_oracle);
+
+  std::vector<std::pair<VarId, bool>> trace;
+  for (const auto& rec : original.trace) {
+    trace.emplace_back(rec.variable, rec.answer);
+  }
+  ReplayOracle replay(std::move(trace));
+  core::SessionReport replayed =
+      *manager.DecideAll(testing::RecruitmentQuerySql(), replay);
+  ASSERT_EQ(replayed.num_probes, original.num_probes);
+  for (size_t i = 0; i < original.trace.size(); ++i) {
+    EXPECT_EQ(replayed.trace[i].variable, original.trace[i].variable);
+    EXPECT_EQ(replayed.trace[i].answer, original.trace[i].answer);
+  }
+  ASSERT_EQ(replayed.tuples.size(), original.tuples.size());
+  for (size_t i = 0; i < original.tuples.size(); ++i) {
+    EXPECT_EQ(replayed.tuples[i].shareable, original.tuples[i].shareable);
+  }
 }
 
 }  // namespace

@@ -232,6 +232,22 @@ TEST(ConsentManagerTest, AnalyzeBundlesProfileAndGuarantees) {
   EXPECT_EQ(analysis.provenance.max_terms_per_tuple, 3u);
 }
 
+// Analyze prepares the query like a session does: it optimizes the plan
+// before evaluating it and reports the same provenance as Prepare.
+TEST(ConsentManagerTest, AnalyzeGoesThroughPrepare) {
+  SharedDatabase sdb = testing::RecruitmentDatabase();
+  ConsentManager manager(sdb);
+  PlanPtr plan = *ParseQuery(testing::RecruitmentQuerySql());
+  obs::MetricsRegistry registry;
+  SessionOptions options;
+  options.metrics = &registry;
+  QueryAnalysis analysis = *manager.Analyze(plan, options);
+  EXPECT_EQ(registry.GetHistogram("query.optimize_ns")->count(), 1u);
+  PreparedSession prepared = *manager.Prepare(plan, std::nullopt);
+  EXPECT_EQ(analysis.provenance.dnfs, prepared.provenance.dnfs);
+  EXPECT_EQ(analysis.profile.query_class, prepared.profile.query_class);
+}
+
 // --- Errors propagate ---------------------------------------------------------------------------
 
 TEST(ConsentManagerTest, BadSqlPropagates) {

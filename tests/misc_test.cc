@@ -170,16 +170,14 @@ TEST(CrossFeatureTest, SessionOnUnoptimizedPlanMatchesOptimized) {
   for (VarId x = 0; x < sdb.pool().size(); ++x) {
     hidden.Set(x, rng.Bernoulli(0.5));
   }
-  core::SessionOptions with;
-  with.optimize_plan = true;
-  core::SessionOptions without;
-  without.optimize_plan = false;
   consent::ValuationOracle o1(hidden);
   consent::ValuationOracle o2(hidden);
   core::SessionReport r1 =
-      *manager.DecideAll(testing::RecruitmentQuerySql(), o1, with);
-  core::SessionReport r2 =
-      *manager.DecideAll(testing::RecruitmentQuerySql(), o2, without);
+      *manager.DecideAll(testing::RecruitmentQuerySql(), o1);
+  // The submitted plan doubles as the effective one: no optimization.
+  query::PlanPtr plan = *query::ParseQuery(testing::RecruitmentQuerySql());
+  core::SessionReport r2 = *manager.RunPrepared(
+      *manager.PrepareResolved(plan, plan, std::nullopt), o2);
   ASSERT_EQ(r1.tuples.size(), r2.tuples.size());
   for (size_t i = 0; i < r1.tuples.size(); ++i) {
     EXPECT_EQ(r1.tuples[i].shareable, r2.tuples[i].shareable);

@@ -625,10 +625,8 @@ TEST(SessionReportTest, PushdownKeepsBothProfilesInAgreement) {
   SharedDatabase sdb = testing::RecruitmentDatabase();
   ConsentManager manager(sdb);
   ValuationOracle oracle(FullValuation(sdb, true));
-  SessionOptions options;
-  options.optimize_plan = true;
   Result<SessionReport> r =
-      manager.DecideAll(testing::RecruitmentQuerySql(), oracle, options);
+      manager.DecideAll(testing::RecruitmentQuerySql(), oracle);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value().query_profile.query_class,
             r.value().query_profile_submitted.query_class);
