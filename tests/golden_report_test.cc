@@ -3,7 +3,7 @@
 // pipeline produced before it, not only against another path that shares
 // its code.
 //
-// Corpus: four recruitment-database queries x every Algorithm x 12 seeded
+// Corpus: five recruitment-database queries x every Algorithm x 12 seeded
 // hidden valuations, in three modes:
 //   * plain  — an infallible oracle, no retry policy;
 //   * faulty — a RetryPolicy (attempt cap, jitter, probe and session
@@ -79,6 +79,10 @@ constexpr const char* kQueries[] = {
     "FROM Vacancies v, Assignment a, JobSeekers s "
     "WHERE v.vid = a.vid AND a.sid = s.sid",
     "SELECT agency FROM JobSeekers UNION SELECT agency FROM Assignment",
+    // The output column comes from the right input of the join, so a
+    // single-tuple session pushes its target into the product's right side.
+    "SELECT DISTINCT a.status FROM JobSeekers s, Assignment a "
+    "WHERE s.sid = a.sid",
 };
 
 constexpr Algorithm kAlgorithms[] = {
