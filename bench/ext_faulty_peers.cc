@@ -30,28 +30,30 @@ using namespace consentdb;
 
 namespace {
 
-// Bench-local retry loop mirroring the session-level RetryPolicy semantics
-// for the formula-level psi runs: transient faults retry with backoff on the
-// virtual clock, exhaustion and dead peers lose the variable.
+// The formula-level psi runs have no session, so this loop asks the
+// sessions' retry decision (RetryPolicy::Decide) itself: transient faults
+// back off on the virtual clock, exhaustion and dead peers lose the
+// variable.
 strategy::FallibleProbeFn RetryProbe(consent::FaultyOracle& oracle,
                                      const core::RetryPolicy& policy,
                                      Clock& clock, size_t& retries) {
   return [&oracle, &policy, &clock, &retries](provenance::VarId x) {
-    size_t attempts = 0;
-    while (true) {
+    const int64_t start = clock.NowNanos();
+    for (size_t attempts = 1;; ++attempts) {
       consent::ProbeAttempt a = oracle.TryProbe(x);
-      ++attempts;
       if (a.ok()) {
         return strategy::FallibleProbe{strategy::ProbeOutcome::kAnswered,
                                        a.answer};
       }
-      if (a.fault == consent::ProbeFault::kUnavailable ||
-          (policy.max_attempts > 0 && attempts >= policy.max_attempts)) {
+      const int64_t now = clock.NowNanos();
+      const core::RetryDecision retry =
+          policy.Decide(a.fault, attempts, x, now, start, start);
+      if (retry.kind != core::RetryDecision::Kind::kRetry) {
         return strategy::FallibleProbe{strategy::ProbeOutcome::kVariableLost,
                                        false};
       }
       ++retries;
-      clock.SleepFor(policy.BackoffNanos(attempts, x));
+      clock.SleepFor(retry.wake_at_nanos - now);
     }
   };
 }

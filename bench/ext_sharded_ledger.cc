@@ -95,7 +95,7 @@ int main() {
         const size_t lo = t * records / num_threads;
         const size_t hi = (t + 1) * records / num_threads;
         for (size_t i = lo; i < hi; ++i) {
-          ledger.ProbeVia(oracle, static_cast<provenance::VarId>(i));
+          ledger.TryProbeVia(oracle, static_cast<provenance::VarId>(i));
         }
       });
     }

@@ -1,13 +1,14 @@
 // AsyncConsentSession: one consent session as a resumable object, advanced
 // by events instead of blocking oracle calls. It is the only session state
 // machine: Pump() says what the session needs next (probe a variable, wait
-// until a time, done), OnAnswer/OnFault feed in what happened, and the
-// RetryPolicy's backoffs become parked wait states on the injected clock.
+// until a time, done), OnAnswer/OnFault feed in what happened, and
+// RetryPolicy::Decide turns a fault into a lost variable or a backoff parked
+// on the injected clock (without a policy, a fault fails the session).
 //
 // Two drivers run it:
-//   * ConsentManager drives it inline: kProbe calls the oracle (Probe, or
-//     TryProbe in a resilient session) and feeds the result straight back;
-//     kWait sleeps on the session clock inside a retry.wait span.
+//   * ConsentManager drives it inline: kProbe makes one TryProbe attempt
+//     and feeds the answer or fault straight back; kWait sleeps on the
+//     session clock inside a retry.wait span.
 //   * ProbeServer parks it between network events: kProbe ships a
 //     ProbeRequest, the client's answer or fault arrives on a later poll,
 //     and kWait is a timer. One thread thus keeps every session moving.
@@ -19,10 +20,10 @@
 // later, hands the session the ledger instead: a variable already in the
 // ledger resolves instantly (a ledger *hit*, still counted as a session
 // probe per the paper's cost model), a fresh network answer is recorded
-// through ProbeVia/TryProbeVia so it is journaled and tallied as an oracle
-// probe, and faulted attempts leave no trace. That shared ledger is what
-// makes resume safe: re-opening a session after a connection loss replays
-// its journaled answers without ever re-probing a peer.
+// through TryProbeVia so it is journaled and tallied as an oracle probe,
+// and faulted attempts leave no trace. That shared ledger is what makes
+// resume safe: re-opening a session after a connection loss replays its
+// journaled answers without ever re-probing a peer.
 
 #ifndef CONSENTDB_CORE_ASYNC_SESSION_H_
 #define CONSENTDB_CORE_ASYNC_SESSION_H_
@@ -68,8 +69,8 @@ class AsyncConsentSession {
   // answers racing a reconnect are harmless.
   void OnAnswer(provenance::VarId x, bool answer);
 
-  // A probe attempt for `x` failed. In a resilient session this
-  // feeds the RetryPolicy (backoff becomes a kWait park); in a
+  // A probe attempt for `x` failed. In a resilient session
+  // RetryPolicy::Decide rules on it (a backoff becomes a kWait park); in a
   // non-resilient session any fault fails the whole session.
   void OnFault(provenance::VarId x, consent::ProbeFault fault);
 
@@ -92,7 +93,6 @@ class AsyncConsentSession {
                       const SessionOptions& options);
 
   void Finish();
-  void ResolveFromLedger(provenance::VarId x);
 
   const consent::SharedDatabase& sdb_;
   const PreparedSession& prepared_;

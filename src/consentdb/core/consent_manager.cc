@@ -1,5 +1,6 @@
 #include "consentdb/core/consent_manager.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "consentdb/core/async_session.h"
@@ -69,6 +70,34 @@ int64_t RetryPolicy::BackoffNanos(size_t attempt, VarId x) const {
     base *= 1.0 + jitter * (2.0 * u - 1.0);
   }
   return base <= 0.0 ? 0 : static_cast<int64_t>(base);
+}
+
+RetryDecision RetryPolicy::Decide(consent::ProbeFault fault, size_t attempts,
+                                  VarId x, int64_t now, int64_t probe_start,
+                                  int64_t session_start) const {
+  using Kind = RetryDecision::Kind;
+  CONSENTDB_CHECK(fault != consent::ProbeFault::kNone, "no fault to decide");
+  if (fault == consent::ProbeFault::kUnavailable) return {Kind::kUnavailable};
+  if (max_attempts > 0 && attempts >= max_attempts) return {Kind::kExhausted};
+  const int64_t backoff = BackoffNanos(attempts, x);
+  if (probe_deadline_nanos > 0 &&
+      now + backoff - probe_start > probe_deadline_nanos) {
+    return {Kind::kProbeDeadline};
+  }
+  // Park until the backoff is over, but never past the session deadline: a
+  // full backoff that overshoots it would stall the expiry (and, served
+  // over the network, the client's error) until the wait ran out.
+  int64_t wait = backoff;
+  if (session_deadline_nanos > 0) {
+    wait = std::min(wait, std::max<int64_t>(
+                              session_start + session_deadline_nanos - now, 0));
+  }
+  return {Kind::kRetry, backoff, now + wait};
+}
+
+bool RetryPolicy::SessionExpired(int64_t now, int64_t session_start) const {
+  return session_deadline_nanos > 0 &&
+         now - session_start >= session_deadline_nanos;
 }
 
 namespace {
@@ -209,9 +238,10 @@ Result<SessionReport> ConsentManager::FinishSession(
   CONSENTDB_ASSIGN_OR_RETURN(std::unique_ptr<AsyncConsentSession> session,
                              AsyncConsentSession::Create(sdb_, prepared,
                                                          options));
-  // Drive the session inline: probes call the oracle directly (TryProbe
-  // under a retry policy, whose faults degrade to kUnresolved verdicts
-  // instead of aborting), and backoffs sleep on the session clock.
+  // Drive the session inline: every probe is one TryProbe attempt whose
+  // answer or fault goes straight back to the session (a fault fails a
+  // session without a retry policy, exactly as served), and backoffs sleep
+  // on the session clock.
   Clock* clock = options.clock != nullptr ? options.clock : RealClock();
   for (AsyncConsentSession::Step step = session->Pump();
        step.kind != AsyncConsentSession::Step::Kind::kDone;
@@ -223,8 +253,6 @@ Result<SessionReport> ConsentManager::FinishSession(
       obs::Span wait(options.spans, obs::names::kSpanRetryWait);
       wait.SetArg(obs::names::kArgAttempt, session->attempts());
       clock->SleepFor(step.wake_at_nanos - clock->NowNanos());
-    } else if (!session->resilient()) {
-      session->OnAnswer(x, oracle.Probe(x));
     } else {
       const consent::ProbeAttempt attempt = oracle.TryProbe(x);
       if (attempt.ok()) {

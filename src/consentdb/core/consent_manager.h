@@ -42,6 +42,19 @@ enum class Algorithm {
 
 const char* AlgorithmToString(Algorithm a);
 
+// What RetryPolicy::Decide makes of one faulted probe attempt.
+struct RetryDecision {
+  enum class Kind : uint8_t {
+    kRetry,          // ask again once the clock reaches wake_at_nanos
+    kUnavailable,    // lost: the peer is permanently gone
+    kExhausted,      // lost: max_attempts attempts were made
+    kProbeDeadline,  // lost: the next backoff would overrun the deadline
+  };
+  Kind kind = Kind::kRetry;
+  int64_t backoff_nanos = 0;  // kRetry: the policy's backoff
+  int64_t wake_at_nanos = 0;  // kRetry: now + backoff, capped at the deadline
+};
+
 // Retry discipline for fallible oracles (Sec. "fault tolerance"). A probe
 // that returns a transient fault is retried with exponential backoff until
 // it answers, attempts run out, or a deadline expires; a probe that returns
@@ -70,6 +83,16 @@ struct RetryPolicy {
 
   // The delay before retry `attempt` (1-based) of variable `x`.
   int64_t BackoffNanos(size_t attempt, provenance::VarId x) const;
+
+  // The one retry decision, a pure function: attempt `attempts` (1-based)
+  // at `x` faulted with `fault` at `now`; the probe's first attempt was at
+  // `probe_start`, the probe loop began at `session_start`.
+  RetryDecision Decide(consent::ProbeFault fault, size_t attempts,
+                       provenance::VarId x, int64_t now, int64_t probe_start,
+                       int64_t session_start) const;
+
+  // Whether the session deadline has passed at `now`.
+  bool SessionExpired(int64_t now, int64_t session_start) const;
 };
 
 struct SessionOptions {
@@ -98,11 +121,11 @@ struct SessionOptions {
   // read, like the other two sinks.
   obs::SpanCollector* spans = nullptr;
 
-  // Opt-in resilience. Unset (the default) preserves the exact legacy
-  // behaviour: probes go through ProbeOracle::Probe, faults are fatal, and
-  // reports are byte-identical to pre-resilience builds. Set, the session
-  // probes through TryProbe with this retry policy and degrades to
-  // kUnresolved verdicts when probes are exhausted.
+  // Opt-in resilience. Every session probes through ProbeOracle::TryProbe.
+  // Unset (the default), the first fault fails the session with
+  // kUnavailable and reports carry no resilience fields (byte-identical to
+  // pre-resilience builds). Set, faults are retried under this policy and
+  // exhausted probes degrade to kUnresolved verdicts.
   std::optional<RetryPolicy> retry;
   // Time source for backoff sleeps and deadlines; null = the real clock.
   // Tests inject a VirtualClock so no wall-clock time ever passes.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "consentdb/consent/snapshot.h"
-#include "consentdb/query/parser.h"
 #include "consentdb/util/check.h"
 
 namespace consentdb::net {
@@ -267,29 +265,13 @@ void ProbeServer::HandleOpen(uint64_t cid, const OpenSession& m) {
 
   core::SessionRequest request;
   request.sql = m.sql;
-  if (m.has_single != 0) {
-    // Same resolution as checkpoint resume: re-plan the SQL and parse the
-    // snapshot row against the query's output schema.
-    const relational::Database& db =
-        engine_.manager().shared_database().database();
-    auto resolve = [&]() -> Result<relational::Tuple> {
-      CONSENTDB_ASSIGN_OR_RETURN(query::PlanPtr plan, query::ParseQuery(m.sql));
-      CONSENTDB_ASSIGN_OR_RETURN(relational::Schema schema,
-                                 plan->OutputSchema(db));
-      return consent::ParseSnapshotRow(m.single_csv, schema);
-    };
-    Result<relational::Tuple> single = resolve();
-    if (!single.ok()) {
-      SendOnConn(cid, ErrorMsg{m.session_id,
-                               WireStatusCode(single.status().code()),
-                               single.status().message(), 0});
-      return;
-    }
-    request.single = std::move(*single);
-  }
-
+  // A single-tuple session's snapshot row is parsed against the plan the
+  // engine's plan cache resolves, so the SQL is parsed at most once.
   Result<std::shared_ptr<const core::PreparedSession>> prepared =
-      engine_.PrepareForServe(request);
+      engine_.PrepareForServe(request,
+                              m.has_single != 0
+                                  ? std::optional<std::string>(m.single_csv)
+                                  : std::nullopt);
   if (!prepared.ok()) {
     SendOnConn(cid, ErrorMsg{m.session_id,
                              WireStatusCode(prepared.status().code()),

@@ -410,7 +410,9 @@ TEST(ShardedCrashGrid, FollowerCrashMidCatchupResyncsAndCutsOverExactly) {
   StableOracle oracle;
 
   // Wave 1, with a replica catching up mid-stream.
-  for (VarId x = 0; x < 20; ++x) leader.ProbeVia(oracle, x);
+  for (VarId x = 0; x < 20; ++x) {
+    ASSERT_TRUE(leader.TryProbeVia(oracle, x).ok());
+  }
   for (WalWriter* wal : set.value().pointers()) ASSERT_TRUE(wal->Sync().ok());
   auto mid_catchup = std::make_unique<LedgerReplica>(&env, "ledger", 4);
   ASSERT_TRUE(mid_catchup->Poll().ok());
@@ -418,7 +420,9 @@ TEST(ShardedCrashGrid, FollowerCrashMidCatchupResyncsAndCutsOverExactly) {
 
   // The follower dies mid-catch-up; the leader keeps writing.
   mid_catchup.reset();
-  for (VarId x = 20; x < 48; ++x) leader.ProbeVia(oracle, x);
+  for (VarId x = 20; x < 48; ++x) {
+    ASSERT_TRUE(leader.TryProbeVia(oracle, x).ok());
+  }
   for (WalWriter* wal : set.value().pointers()) ASSERT_TRUE(wal->Sync().ok());
 
   // A rebuilt follower over the same paths converges to the full view.
@@ -442,7 +446,9 @@ TEST(ShardedCrashGrid, FollowerCrashMidCatchupResyncsAndCutsOverExactly) {
     ASSERT_TRUE(new_leader.RestoreAnswer(x, answer).ok());
   }
   StableOracle resumed_oracle;
-  for (VarId x = 0; x < 48; ++x) new_leader.ProbeVia(resumed_oracle, x);
+  for (VarId x = 0; x < 48; ++x) {
+    ASSERT_TRUE(new_leader.TryProbeVia(resumed_oracle, x).ok());
+  }
   EXPECT_EQ(resumed_oracle.probe_count(), 0u);  // zero duplicate probes
   EXPECT_EQ(new_leader.Answers(), leader.Answers());
 }
@@ -471,7 +477,9 @@ TEST(ShardedCrashGrid, LeaderPowerLossNeverUnlearnsReplicatedAnswers) {
     ShardedConsentLedger leader(2);
     leader.AttachShardJournals(set.value().pointers());
     StableOracle oracle;
-    for (VarId x = 0; x < 24; ++x) leader.ProbeVia(oracle, x);
+    for (VarId x = 0; x < 24; ++x) {
+      ASSERT_TRUE(leader.TryProbeVia(oracle, x).ok());
+    }
 
     // The follower replicates the unsynced tail (it tails the page cache
     // the leader wrote), then the cord is cut.
@@ -486,7 +494,7 @@ TEST(ShardedCrashGrid, LeaderPowerLossNeverUnlearnsReplicatedAnswers) {
     plan.crash_at_append = 1;  // the very next append dies
     plan.power_loss = true;    // ... and the platter only has synced bytes
     env.set_plan(plan);
-    EXPECT_THROW(leader.ProbeVia(oracle, 24), CrashInjected);
+    EXPECT_THROW(leader.TryProbeVia(oracle, 24), CrashInjected);
   }
   env.Restart();
 
@@ -516,7 +524,9 @@ TEST(ShardedCrashGrid, LeaderPowerLossNeverUnlearnsReplicatedAnswers) {
   }
   resumed.AttachShardJournals(reopened.value().pointers());
   StableOracle resumed_oracle;
-  for (VarId x = 0; x < 24; ++x) resumed.ProbeVia(resumed_oracle, x);
+  for (VarId x = 0; x < 24; ++x) {
+    ASSERT_TRUE(resumed.TryProbeVia(resumed_oracle, x).ok());
+  }
   EXPECT_EQ(resumed_oracle.probe_count(), 24u - stats.value().recovered_answers);
   for (WalWriter* wal : reopened.value().pointers()) {
     ASSERT_TRUE(wal->Sync().ok());

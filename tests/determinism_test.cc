@@ -253,7 +253,9 @@ std::pair<std::string, std::string> ShardRecoveryBytes(
     consent::ShardedConsentLedger ledger(4);
     ledger.AttachShardJournals(set.value().pointers(), compact_every);
     PureOracle oracle;
-    for (VarId x : order) ledger.ProbeVia(oracle, x);
+    for (VarId x : order) {
+      CONSENTDB_CHECK(ledger.TryProbeVia(oracle, x).ok(), "probe faulted");
+    }
     for (consent::WalWriter* wal : set.value().pointers()) {
       Status st = wal->Sync();
       CONSENTDB_CHECK(st.ok(), st.ToString());
@@ -369,7 +371,7 @@ TEST(DeterminismTest, ReplicaViewIndependentOfPollSchedule) {
   consent::LedgerReplica eager(&env, "ledger", 4);
   consent::LedgerReplica lazy(&env, "ledger", 4);
   for (VarId x = 0; x < 48; ++x) {
-    leader.ProbeVia(oracle, x);
+    ASSERT_TRUE(leader.TryProbeVia(oracle, x).ok());
     ASSERT_TRUE(eager.Poll().ok());
   }
   for (consent::WalWriter* wal : set.value().pointers()) {

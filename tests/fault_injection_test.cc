@@ -190,7 +190,9 @@ TEST(FaultyOracleTest, ScheduleIndependentOfProbeInterleaving) {
   auto b = run(order_b);
   for (const auto& [key, fault] : a) {
     auto it = b.find(key);
-    if (it != b.end()) EXPECT_EQ(fault, it->second);
+    if (it != b.end()) {
+      EXPECT_EQ(fault, it->second);
+    }
   }
 }
 
@@ -322,6 +324,119 @@ TEST(RetryPolicyTest, JitterIsDeterministic) {
   // Different variables draw different jitter (with overwhelming
   // probability for this seed — pinned here as a regression value).
   EXPECT_NE(policy.BackoffNanos(3, 11), policy.BackoffNanos(3, 12));
+}
+
+// --- RetryPolicy::Decide, the one retry decision -------------------------------
+
+TEST(RetryPolicyTest, DecideTable) {
+  constexpr int64_t kMs = 1'000'000;
+  using Kind = core::RetryDecision::Kind;
+  struct Case {
+    const char* name;
+    // Policy (backoff starts at 1ms and doubles, no jitter).
+    size_t max_attempts;
+    int64_t probe_deadline;
+    int64_t session_deadline;
+    // The faulted attempt.
+    ProbeFault fault;
+    size_t attempts;
+    int64_t now;
+    int64_t probe_start;
+    int64_t session_start;
+    // The decision (backoff and wake time are checked for kRetry only).
+    Kind kind;
+    int64_t backoff;
+    int64_t wake_at;
+  };
+  const Case cases[] = {
+      {"unavailable is lost on its first attempt", 3, 0, 0,
+       ProbeFault::kUnavailable, 1, 0, 0, 0, Kind::kUnavailable, 0, 0},
+      {"unavailable is lost under unlimited attempts", 0, 0, 0,
+       ProbeFault::kUnavailable, 1, 0, 0, 0, Kind::kUnavailable, 0, 0},
+      {"first transient fault retries after 1ms", 3, 0, 0,
+       ProbeFault::kTransient, 1, 5 * kMs, 5 * kMs, 0, Kind::kRetry, kMs,
+       6 * kMs},
+      {"second transient fault backs off 2ms", 3, 0, 0,
+       ProbeFault::kTransient, 2, 7 * kMs, 5 * kMs, 0, Kind::kRetry, 2 * kMs,
+       9 * kMs},
+      {"the attempt cap loses the variable", 3, 0, 0, ProbeFault::kTransient,
+       3, 0, 0, 0, Kind::kExhausted, 0, 0},
+      {"0 attempts means unlimited; backoff stops at its cap", 0, 0, 0,
+       ProbeFault::kTransient, 40, 0, 0, 0, Kind::kRetry, 1000 * kMs,
+       1000 * kMs},
+      {"probe deadline: backoff lands inside it", 0, 10 * kMs, 0,
+       ProbeFault::kTransient, 1, 108 * kMs, 100 * kMs, 0, Kind::kRetry, kMs,
+       109 * kMs},
+      {"probe deadline: backoff lands exactly on it", 0, 10 * kMs, 0,
+       ProbeFault::kTransient, 1, 109 * kMs, 100 * kMs, 0, Kind::kRetry, kMs,
+       110 * kMs},
+      {"probe deadline: backoff would overrun it", 0, 10 * kMs, 0,
+       ProbeFault::kTransient, 1, 109 * kMs + 1, 100 * kMs, 0,
+       Kind::kProbeDeadline, 0, 0},
+      {"probe deadline counts from the first attempt, not the session", 0,
+       10 * kMs, 0, ProbeFault::kTransient, 2, 105 * kMs, 100 * kMs, 0,
+       Kind::kRetry, 2 * kMs, 107 * kMs},
+      {"wake time is clamped to the session deadline", 0, 0, 5 * kMs,
+       ProbeFault::kTransient, 4, 2 * kMs, 2 * kMs, 0, Kind::kRetry, 8 * kMs,
+       5 * kMs},
+      {"past the session deadline the wake time is now", 0, 0, 5 * kMs,
+       ProbeFault::kTransient, 1, 7 * kMs, 7 * kMs, 0, Kind::kRetry, kMs,
+       7 * kMs},
+      {"the session deadline counts from the session start", 0, 0, 5 * kMs,
+       ProbeFault::kTransient, 1, 12 * kMs, 12 * kMs, 10 * kMs, Kind::kRetry,
+       kMs, 13 * kMs},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    RetryPolicy policy;
+    policy.max_attempts = c.max_attempts;
+    policy.probe_deadline_nanos = c.probe_deadline;
+    policy.session_deadline_nanos = c.session_deadline;
+    const core::RetryDecision d = policy.Decide(
+        c.fault, c.attempts, 0, c.now, c.probe_start, c.session_start);
+    EXPECT_EQ(d.kind, c.kind);
+    if (c.kind == Kind::kRetry) {
+      EXPECT_EQ(d.backoff_nanos, c.backoff);
+      EXPECT_EQ(d.wake_at_nanos, c.wake_at);
+    }
+  }
+}
+
+TEST(RetryPolicyTest, DecideJitterIsAPureFunctionOfSeedVariableAttempt) {
+  RetryPolicy policy;
+  policy.max_attempts = 0;
+  policy.jitter = 0.5;
+  policy.jitter_seed = 7;
+  RetryPolicy reseeded = policy;
+  reseeded.jitter_seed = 8;
+  size_t reseeded_differs = 0;
+  for (size_t attempt = 1; attempt <= 6; ++attempt) {
+    for (VarId x = 0; x < 8; ++x) {
+      const core::RetryDecision d =
+          policy.Decide(ProbeFault::kTransient, attempt, x, 0, 0, 0);
+      ASSERT_EQ(d.kind, core::RetryDecision::Kind::kRetry);
+      EXPECT_EQ(d.backoff_nanos, policy.BackoffNanos(attempt, x));
+      EXPECT_EQ(d.wake_at_nanos, d.backoff_nanos);
+      // The clock only shifts the wake time; the jitter stays put.
+      const core::RetryDecision later = policy.Decide(
+          ProbeFault::kTransient, attempt, x, 3'000, 2'000, 1'000);
+      EXPECT_EQ(later.backoff_nanos, d.backoff_nanos);
+      EXPECT_EQ(later.wake_at_nanos, 3'000 + d.backoff_nanos);
+      const core::RetryDecision other =
+          reseeded.Decide(ProbeFault::kTransient, attempt, x, 0, 0, 0);
+      if (other.backoff_nanos != d.backoff_nanos) ++reseeded_differs;
+    }
+  }
+  EXPECT_GT(reseeded_differs, 0u);
+}
+
+TEST(RetryPolicyTest, SessionExpiresAtItsDeadline) {
+  RetryPolicy policy;
+  EXPECT_FALSE(policy.SessionExpired(int64_t{1} << 60, 0));  // no deadline
+  policy.session_deadline_nanos = 50;
+  EXPECT_FALSE(policy.SessionExpired(149, 100));
+  EXPECT_TRUE(policy.SessionExpired(150, 100));
+  EXPECT_TRUE(policy.SessionExpired(151, 100));
 }
 
 TEST(RetryPolicyTest, UnitUniformHashIsAPureFunction) {

@@ -22,6 +22,7 @@ namespace consentdb::core {
 namespace {
 
 using consent::ConsentLedger;
+using consent::ProbeAttempt;
 using consent::SharedDatabase;
 using consent::ValuationOracle;
 using provenance::PartialValuation;
@@ -184,11 +185,13 @@ TEST(ConsentLedgerTest, ForwardsEachVariableToTheOracleOnce) {
   ConsentLedger ledger;
 
   bool from_ledger = true;
-  EXPECT_TRUE(ledger.ProbeVia(oracle, 0, &from_ledger));
+  EXPECT_EQ(ledger.TryProbeVia(oracle, 0, &from_ledger),
+            ProbeAttempt::Answered(true));
   EXPECT_FALSE(from_ledger);
-  EXPECT_TRUE(ledger.ProbeVia(oracle, 0, &from_ledger));
+  EXPECT_EQ(ledger.TryProbeVia(oracle, 0, &from_ledger),
+            ProbeAttempt::Answered(true));
   EXPECT_TRUE(from_ledger);
-  EXPECT_FALSE(ledger.ProbeVia(oracle, 1));
+  EXPECT_EQ(ledger.TryProbeVia(oracle, 1), ProbeAttempt::Answered(false));
 
   EXPECT_EQ(oracle.probe_count(), 2u);
   EXPECT_EQ(ledger.oracle_probes(), 2u);

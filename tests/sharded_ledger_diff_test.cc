@@ -171,7 +171,9 @@ TEST(ShardedLedgerTest, StatsAggregateToSingleLedgerTotals) {
       CONSENTDB_CHECK(attempt.ok(), "retry must answer");
     }
     // Second pass: all hits.
-    for (VarId x = 0; x < 40; ++x) ledger.ProbeVia(oracle, x);
+    for (VarId x = 0; x < 40; ++x) {
+      CONSENTDB_CHECK(ledger.TryProbeVia(oracle, x).ok(), "hit faulted");
+    }
     // Recovery-style restores on top.
     for (VarId x = 100; x < 110; ++x) {
       Status st = ledger.RestoreAnswer(x, true);
@@ -393,7 +395,9 @@ TEST(ReplicaTest, FollowerTailsIncrementallyWithoutResync) {
   FixedOracle oracle;
   size_t expected = 0;
   for (VarId batch = 0; batch < 3; ++batch) {
-    for (VarId i = 0; i < 8; ++i) leader.ProbeVia(oracle, batch * 8 + i);
+    for (VarId i = 0; i < 8; ++i) {
+      ASSERT_TRUE(leader.TryProbeVia(oracle, batch * 8 + i).ok());
+    }
     expected += 8;
     ASSERT_TRUE(set.value().wals[0]->Sync().ok());
     ASSERT_TRUE(follower.Poll().ok());
@@ -422,7 +426,7 @@ TEST(ReplicaTest, FollowerResyncsThroughCompaction) {
   WalFollower follower(&env, ShardWalPath("led", 0));
   FixedOracle oracle;
   for (VarId x = 0; x < 12; ++x) {
-    leader.ProbeVia(oracle, x);
+    ASSERT_TRUE(leader.TryProbeVia(oracle, x).ok());
     ASSERT_TRUE(follower.Poll().ok());
   }
   EXPECT_EQ(follower.Answers(), leader.Answers());
@@ -440,7 +444,9 @@ TEST(ReplicaTest, ReplicaMergesShardsAndCutsOver) {
   leader.AttachShardJournals(set.value().pointers());
 
   FixedOracle oracle;
-  for (VarId x = 0; x < 64; ++x) leader.ProbeVia(oracle, x);
+  for (VarId x = 0; x < 64; ++x) {
+    ASSERT_TRUE(leader.TryProbeVia(oracle, x).ok());
+  }
   for (WalWriter* wal : set.value().pointers()) {
     ASSERT_TRUE(wal->Sync().ok());
   }

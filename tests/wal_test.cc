@@ -342,9 +342,10 @@ TEST(ConsentLedgerWalTest, JournalsEveryRecordedAnswer) {
   ConsentLedger ledger;
   ledger.AttachJournal(wal.get());
   ReplayOracle oracle({{0, true}, {4, false}});
-  EXPECT_TRUE(ledger.ProbeVia(oracle, 0));
-  EXPECT_FALSE(ledger.ProbeVia(oracle, 4));
-  EXPECT_TRUE(ledger.ProbeVia(oracle, 0));  // ledger hit: not re-journaled
+  EXPECT_EQ(ledger.TryProbeVia(oracle, 0), ProbeAttempt::Answered(true));
+  EXPECT_EQ(ledger.TryProbeVia(oracle, 4), ProbeAttempt::Answered(false));
+  // A ledger hit is not re-journaled.
+  EXPECT_EQ(ledger.TryProbeVia(oracle, 0), ProbeAttempt::Answered(true));
   ASSERT_TRUE(ledger.journal_error().ok());
   ASSERT_TRUE(wal->Sync().ok());
 
