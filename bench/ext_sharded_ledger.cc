@@ -1,7 +1,7 @@
 // Extension experiment: recorded-answer throughput of the sharded consent
 // ledger (consent/sharded_ledger.h).
 //
-// Part 1 hammers the record path — probe, map insert, WAL append + fsync —
+// The bench hammers the record path — probe, map insert, WAL append + fsync —
 // from several threads at shard counts 1/2/4/8, every answer journaled to
 // a shard WAL set on the in-memory CrashingEnv (deterministic I/O, no real
 // disk). The single-shard row runs the classic plain ConsentLedger, i.e.
@@ -12,11 +12,6 @@
 // mutex accidentally wrapping the per-shard fsync; quick CI runs report
 // the ratio informationally (a 0.25-scale run on a loaded 1-core runner
 // measures scheduler noise, not the ledger).
-//
-// Part 2 measures the replica side (consent/replica.h): cold catch-up
-// records/sec of a LedgerReplica over a populated 4-shard set, then steady
-// incremental tailing, asserting the incremental path never falls back to
-// a full resync.
 
 #include <chrono>
 #include <cstdint>
@@ -26,7 +21,6 @@
 
 #include "bench_common.h"
 #include "consentdb/consent/oracle.h"
-#include "consentdb/consent/replica.h"
 #include "consentdb/consent/sharded_ledger.h"
 #include "consentdb/consent/wal.h"
 #include "consentdb/util/io.h"
@@ -134,73 +128,6 @@ int main() {
               << "x at 8 shards reported informationally; the >=0.6x "
                  "scaling assert only arms at CONSENTDB_BENCH_SCALE >= 1)\n";
   }
-
-  // --- Part 2: replica catch-up and incremental tailing ---------------------
-  const size_t replicated = bench::Scaled(100'000);
-  const size_t tail_batches = 20;
-  const size_t tail_batch_records = bench::Scaled(100);
-  std::cout << "\n=== Replica catch-up (4-shard set, " << replicated
-            << " records) ===\n\n";
-
-  bench::Table replica_table({"phase", "records", "ms", "records/s"});
-  replica_table.PrintHeader();
-
-  CrashingEnv env;
-  Result<consent::ShardWalSet> set =
-      consent::OpenShardWalSet(&env, "ledger", 4, /*generation=*/1);
-  CONSENTDB_CHECK(set.ok(), set.status().ToString());
-  for (size_t i = 0; i < replicated; ++i) {
-    const auto x = static_cast<provenance::VarId>(i);
-    const size_t shard = consent::ShardedConsentLedger::ShardOf(x, 4);
-    CONSENTDB_CHECK(set.value().wals[shard]->AppendAnswer(x, i % 3 == 0).ok(),
-                    "append failed");
-  }
-  for (consent::WalWriter* wal : set.value().pointers()) {
-    CONSENTDB_CHECK(wal->Sync().ok(), "sync failed");
-  }
-
-  consent::LedgerReplica replica(&env, "ledger", 4);
-  const auto catchup_start = std::chrono::steady_clock::now();
-  Status caught_up = replica.Poll();
-  const double catchup_ms = MsSince(catchup_start);
-  CONSENTDB_CHECK(caught_up.ok(), caught_up.ToString());
-  CONSENTDB_CHECK(replica.size() == replicated, "replica missed records");
-  replica_table.PrintRow("cold catch-up",
-                         {std::to_string(replicated),
-                          bench::FormatMean(catchup_ms),
-                          bench::FormatMean(Rps(replicated, catchup_ms))});
-  report.AddResult("replica/catchup/wall_ms", catchup_ms, "ms");
-  report.AddResult("replica/catchup/throughput_rps",
-                   Rps(replicated, catchup_ms), "records/s");
-
-  const auto tail_start = std::chrono::steady_clock::now();
-  for (size_t batch = 0; batch < tail_batches; ++batch) {
-    for (size_t i = 0; i < tail_batch_records; ++i) {
-      const auto x = static_cast<provenance::VarId>(
-          replicated + batch * tail_batch_records + i);
-      const size_t shard = consent::ShardedConsentLedger::ShardOf(x, 4);
-      CONSENTDB_CHECK(set.value().wals[shard]->AppendAnswer(x, true).ok(),
-                      "append failed");
-    }
-    CONSENTDB_CHECK(replica.Poll().ok(), "incremental poll failed");
-  }
-  const double tail_ms = MsSince(tail_start);
-  const size_t tail_records = tail_batches * tail_batch_records;
-  CONSENTDB_CHECK(replica.size() == replicated + tail_records,
-                  "replica missed tail records");
-  // Steady tailing must ride the byte-offset incremental path, never the
-  // full-resync fallback.
-  for (size_t k = 0; k < 4; ++k) {
-    CONSENTDB_CHECK(replica.follower(k).resyncs() == 0,
-                    "incremental tailing fell back to a full resync");
-  }
-  replica_table.PrintRow("incremental tail",
-                         {std::to_string(tail_records),
-                          bench::FormatMean(tail_ms),
-                          bench::FormatMean(Rps(tail_records, tail_ms))});
-  report.AddResult("replica/tail/wall_ms", tail_ms, "ms");
-  report.AddResult("replica/tail/throughput_rps", Rps(tail_records, tail_ms),
-                   "records/s");
 
   bench::EmitMetricsSidecar("ext_sharded_ledger");
   report.Emit();

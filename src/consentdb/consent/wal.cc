@@ -5,7 +5,7 @@
 #include "consentdb/consent/oracle.h"
 #include "consentdb/consent/snapshot.h"
 #include "consentdb/obs/names.h"
-#include "consentdb/util/crc32.h"
+#include "consentdb/util/codec.h"
 
 namespace consentdb::consent {
 
@@ -15,70 +15,63 @@ constexpr char kWalMagic[] = "consentdb-wal 1\n";
 constexpr size_t kWalMagicLen = sizeof(kWalMagic) - 1;  // 16
 constexpr uint8_t kRecordAnswer = 1;
 constexpr uint8_t kRecordShardHeader = 2;
-constexpr size_t kAnswerPayloadLen = 1 + 1 + 8;  // type, answer, var id
-// type, reserved, shard id, num shards, generation
-constexpr size_t kShardPayloadLen = 1 + 1 + 4 + 4 + 8;
-// Framing sanity bound: no legal payload comes close, so a length field
-// beyond it means the length bytes themselves are damaged.
-constexpr uint32_t kMaxPayloadLen = 1u << 20;
 
-void PutFixed32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+// payload { u8 type = 1 | u8 answer | u64 var_id }
+void EncodeAnswerRecord(std::string* out, VarId x, bool answer) {
+  const size_t start = BeginRecord(out);
+  PutU8(out, kRecordAnswer);
+  PutU8(out, answer ? 1 : 0);
+  PutU64(out, static_cast<uint64_t>(x));
+  FinishRecord(out, start);
 }
 
-void PutFixed64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-uint32_t GetFixed32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | static_cast<uint8_t>(p[i]);
-  return v;
-}
-
-uint64_t GetFixed64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<uint8_t>(p[i]);
-  return v;
-}
-
-std::string FrameRecord(const std::string& payload) {
-  std::string record;
-  record.reserve(8 + payload.size());
-  PutFixed32(&record, static_cast<uint32_t>(payload.size()));
-  PutFixed32(&record, Crc32(payload));
-  record += payload;
-  return record;
-}
-
-std::string EncodeAnswerRecord(VarId x, bool answer) {
-  std::string payload;
-  payload.reserve(kAnswerPayloadLen);
-  payload.push_back(static_cast<char>(kRecordAnswer));
-  payload.push_back(static_cast<char>(answer ? 1 : 0));
-  PutFixed64(&payload, static_cast<uint64_t>(x));
-  return FrameRecord(payload);
-}
-
-std::string EncodeShardRecord(const WalShardInfo& shard) {
-  std::string payload;
-  payload.reserve(kShardPayloadLen);
-  payload.push_back(static_cast<char>(kRecordShardHeader));
-  payload.push_back(0);  // reserved
-  PutFixed32(&payload, shard.shard_id);
-  PutFixed32(&payload, shard.num_shards);
-  PutFixed64(&payload, shard.generation);
-  return FrameRecord(payload);
+// payload { u8 type = 2 | u8 reserved = 0 | u32 shard_id | u32 num_shards |
+//           u64 generation }
+void EncodeShardRecord(std::string* out, const WalShardInfo& shard) {
+  const size_t start = BeginRecord(out);
+  PutU8(out, kRecordShardHeader);
+  PutU8(out, 0);  // reserved
+  PutU32(out, shard.shard_id);
+  PutU32(out, shard.num_shards);
+  PutU64(out, shard.generation);
+  FinishRecord(out, start);
 }
 
 // Magic plus, for a shard-set member, the stamped shard header.
 std::string WalHeaderBytes(const std::optional<WalShardInfo>& shard) {
   std::string out(kWalMagic, kWalMagicLen);
-  if (shard.has_value()) out += EncodeShardRecord(*shard);
+  if (shard.has_value()) EncodeShardRecord(&out, *shard);
   return out;
 }
 
-void ParseRecords(std::string_view content, size_t pos, WalReplay* replay);
+// Applies one checksum-clean record payload to `replay`; false when the
+// payload is no record this format defines.
+bool ApplyRecord(std::string_view payload, WalReplay* replay) {
+  size_t pos = 0;
+  uint8_t type = 0;
+  uint8_t flag = 0;  // the answer, or the header's reserved byte
+  if (!GetU8(payload, &pos, &type) || !GetU8(payload, &pos, &flag)) {
+    return false;
+  }
+  if (type == kRecordAnswer && flag <= 1) {
+    uint64_t x = 0;
+    if (!GetU64(payload, &pos, &x) || pos != payload.size()) return false;
+    replay->answers.emplace_back(static_cast<VarId>(x), flag == 1);
+    ++replay->records;
+    return true;
+  }
+  if (type == kRecordShardHeader && flag == 0) {
+    WalShardInfo shard;
+    if (!GetU32(payload, &pos, &shard.shard_id) ||
+        !GetU32(payload, &pos, &shard.num_shards) ||
+        !GetU64(payload, &pos, &shard.generation) || pos != payload.size()) {
+      return false;
+    }
+    replay->shard = shard;
+    return true;
+  }
+  return false;
+}
 
 // Parses raw WAL bytes (magic included). Factored out of ReadWal so
 // WalWriter::Open can validate and heal an existing file from the same code.
@@ -98,79 +91,31 @@ Result<WalReplay> ParseWal(std::string_view content, const std::string& path) {
   if (content.compare(0, kWalMagicLen, kWalMagic) != 0) {
     return Status::InvalidArgument("not a consentdb wal: " + path);
   }
-  ParseRecords(content, kWalMagicLen, &replay);
-  return replay;
-}
-
-// The record-stream loop of ParseWal, shared with the public
-// ParseWalRecords (incremental follower tails start mid-file, after the
-// magic they already consumed).
-void ParseRecords(std::string_view content, size_t pos, WalReplay* out) {
-  WalReplay& replay = *out;
+  size_t pos = kWalMagicLen;
   while (pos < content.size()) {
-    const size_t remaining = content.size() - pos;
-    if (remaining < 8) {  // header cut mid-bytes
-      replay.torn_tail = true;
-      replay.bytes_dropped = remaining;
-      break;
+    const std::string_view rest = content.substr(pos);
+    const DecodedRecord record = DecodeRecord(rest);
+    if (record.kind == DecodedRecord::Kind::kRecord &&
+        ApplyRecord(record.payload, &replay)) {
+      pos += record.size;
+      continue;
     }
-    const uint32_t payload_len = GetFixed32(content.data() + pos);
-    const uint32_t crc = GetFixed32(content.data() + pos + 4);
-    if (payload_len > kMaxPayloadLen) {
-      replay.corrupt_record = true;
-      replay.bytes_dropped = remaining;
-      break;
-    }
-    if (remaining - 8 < payload_len) {  // payload cut mid-bytes
-      replay.torn_tail = true;
-      replay.bytes_dropped = remaining;
-      break;
-    }
-    const std::string_view payload(content.data() + pos + 8, payload_len);
-    if (Crc32(payload) != crc) {
-      replay.corrupt_record = true;
-      replay.bytes_dropped = remaining;
-      break;
-    }
-    if (payload_len == kAnswerPayloadLen &&
-        static_cast<uint8_t>(payload[0]) == kRecordAnswer &&
-        static_cast<uint8_t>(payload[1]) <= 1) {
-      const bool answer = payload[1] != 0;
-      const VarId x = static_cast<VarId>(GetFixed64(payload.data() + 2));
-      replay.answers.emplace_back(x, answer);
-      ++replay.records;
-    } else if (payload_len == kShardPayloadLen &&
-               static_cast<uint8_t>(payload[0]) == kRecordShardHeader &&
-               static_cast<uint8_t>(payload[1]) == 0) {
-      WalShardInfo shard;
-      shard.shard_id = GetFixed32(payload.data() + 2);
-      shard.num_shards = GetFixed32(payload.data() + 6);
-      shard.generation = GetFixed64(payload.data() + 10);
-      replay.shard = shard;
-    } else {
-      // Checksum fine but contents unintelligible: treat as corruption, keep
-      // the prefix.
-      replay.corrupt_record = true;
-      replay.bytes_dropped = remaining;
-      break;
-    }
-    pos += 8 + payload_len;
+    // A record cut mid-bytes is a torn tail (crashed append, power cut);
+    // a bad length or checksum, or contents that checksum fine but mean
+    // nothing, is corruption. Either way the clean prefix stands.
+    replay.torn_tail = record.kind == DecodedRecord::Kind::kIncomplete;
+    replay.corrupt_record = !replay.torn_tail;
+    replay.bytes_dropped = rest.size();
+    break;
   }
+  return replay;
 }
 
 std::string EncodeWal(const std::optional<WalShardInfo>& shard,
                       const std::vector<std::pair<VarId, bool>>& answers) {
   std::string out = WalHeaderBytes(shard);
-  for (const auto& [x, answer] : answers) out += EncodeAnswerRecord(x, answer);
+  for (const auto& [x, answer] : answers) EncodeAnswerRecord(&out, x, answer);
   return out;
-}
-
-// tmp + fsync + atomic rename: the canonical crash-safe full-file replace.
-Status WriteFileAtomically(Env* env, const std::string& path,
-                           std::string_view data) {
-  const std::string tmp = path + ".tmp";
-  CONSENTDB_RETURN_IF_ERROR(env->WriteStringToFile(tmp, data, /*sync=*/true));
-  return env->RenameFile(tmp, path);
 }
 
 }  // namespace
@@ -215,21 +160,15 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(Env* env, std::string path,
     CONSENTDB_ASSIGN_OR_RETURN(WalReplay replay,
                                ParseWal(content, writer->path_));
     // Shard-set safety: a member file must carry exactly the declared
-    // header, and a plain open must never adopt a shard member. The one
-    // tolerated gap is a headerless *empty* member — the residue of a crash
-    // between file creation and the header fsync — which holds no answers
-    // and is re-stamped by the heal below.
+    // header (the shard-set rule with the declared generation), and a plain
+    // open must never adopt a shard member. The one tolerated gap is a
+    // headerless *empty* member — the residue of a crash between file
+    // creation and the header fsync — which is re-stamped by the heal below.
     if (options.shard.has_value()) {
-      if (replay.shard.has_value()) {
-        if (*replay.shard != *options.shard) {
-          return Status::FailedPrecondition(
-              "wal shard header mismatch (foreign shard set member?): " +
-              writer->path_);
-        }
-      } else if (!replay.answers.empty()) {
-        return Status::FailedPrecondition(
-            "wal carries records but no shard header: " + writer->path_);
-      }
+      std::optional<uint64_t> generation = options.shard->generation;
+      CONSENTDB_RETURN_IF_ERROR(CheckShardSetMember(
+          writer->path_, options.shard->shard_id, options.shard->num_shards,
+          replay.shard, !replay.answers.empty(), &generation));
     } else if (replay.shard.has_value()) {
       return Status::FailedPrecondition(
           "wal belongs to a sharded log set; open it with matching "
@@ -238,8 +177,8 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(Env* env, std::string path,
     if (replay.torn_tail || replay.corrupt_record ||
         content.size() < kWalMagicLen ||
         (options.shard.has_value() && !replay.shard.has_value())) {
-      CONSENTDB_RETURN_IF_ERROR(WriteFileAtomically(
-          env, writer->path_, EncodeWal(options.shard, replay.answers)));
+      CONSENTDB_RETURN_IF_ERROR(env->WriteFileAtomically(
+          writer->path_, EncodeWal(options.shard, replay.answers)));
     }
     CONSENTDB_ASSIGN_OR_RETURN(writer->file_,
                                env->NewWritableFile(writer->path_, true));
@@ -259,7 +198,8 @@ Status WalWriter::AppendAnswer(VarId x, bool answer) {
   if (file_ == nullptr) {
     return Status::FailedPrecondition("wal is closed: " + path_);
   }
-  const std::string record = EncodeAnswerRecord(x, answer);
+  std::string record;
+  EncodeAnswerRecord(&record, x, answer);
   {
     obs::Span span(options_.spans, obs::names::kSpanWalAppend);
     span.SetArg(obs::names::kArgBytes, record.size());
@@ -318,13 +258,13 @@ Status WalWriter::CompactTo(
   // lands, the old WAL records are redundant (replay over the snapshot is
   // idempotent), so a crash anywhere past this point loses nothing.
   CONSENTDB_RETURN_IF_ERROR(SyncLocked());
-  CONSENTDB_RETURN_IF_ERROR(WriteFileAtomically(
-      env_, WalSnapshotPath(path_), SaveLedgerSnapshot(answers)));
+  CONSENTDB_RETURN_IF_ERROR(env_->WriteFileAtomically(
+      WalSnapshotPath(path_), SaveLedgerSnapshot(answers)));
   // Step 2: reset the WAL to empty and reopen the append handle.
   CONSENTDB_RETURN_IF_ERROR(file_->Close());
   file_ = nullptr;
   CONSENTDB_RETURN_IF_ERROR(
-      WriteFileAtomically(env_, path_, WalHeaderBytes(options_.shard)));
+      env_->WriteFileAtomically(path_, WalHeaderBytes(options_.shard)));
   CONSENTDB_ASSIGN_OR_RETURN(file_, env_->NewWritableFile(path_, true));
   ++compactions_;
   obs::Increment(options_.metrics, "wal.compactions");
@@ -363,17 +303,6 @@ uint64_t WalWriter::compactions() const {
 Result<WalReplay> ReadWal(Env* env, const std::string& path) {
   CONSENTDB_ASSIGN_OR_RETURN(std::string content, env->ReadFileToString(path));
   return ParseWal(content, path);
-}
-
-Result<WalReplay> ParseWalContent(std::string_view content,
-                                  const std::string& path) {
-  return ParseWal(content, path);
-}
-
-WalReplay ParseWalRecords(std::string_view bytes) {
-  WalReplay replay;
-  ParseRecords(bytes, 0, &replay);
-  return replay;
 }
 
 Result<RecoveryStats> RecoverLedger(Env* env, const std::string& wal_path,
@@ -431,6 +360,33 @@ std::vector<WalWriter*> ShardWalSet::pointers() const {
   return out;
 }
 
+Status CheckShardSetMember(const std::string& path, size_t shard_id,
+                           size_t num_shards,
+                           const std::optional<WalShardInfo>& header,
+                           bool carries_records,
+                           std::optional<uint64_t>* generation) {
+  if (!header.has_value()) {
+    if (!carries_records) return Status::OK();
+    return Status::FailedPrecondition(
+        "wal carries records but no shard header: " + path);
+  }
+  if (header->shard_id != shard_id || header->num_shards != num_shards) {
+    return Status::FailedPrecondition(
+        "wal stamped as shard " + std::to_string(header->shard_id) + "/" +
+        std::to_string(header->num_shards) + ", expected shard " +
+        std::to_string(shard_id) + "/" + std::to_string(num_shards) + ": " +
+        path);
+  }
+  if (generation->has_value() && **generation != header->generation) {
+    return Status::FailedPrecondition(
+        "mixed-generation shard set: wal is generation " +
+        std::to_string(header->generation) + ", expected " +
+        std::to_string(**generation) + ": " + path);
+  }
+  *generation = header->generation;
+  return Status::OK();
+}
+
 Result<ShardWalSet> OpenShardWalSet(Env* env, const std::string& base_path,
                                     size_t num_shards, uint64_t generation,
                                     WalOptions options) {
@@ -438,27 +394,16 @@ Result<ShardWalSet> OpenShardWalSet(Env* env, const std::string& base_path,
     return Status::InvalidArgument("shard wal set needs at least one shard");
   }
   // Peek at the existing members first: an already-stamped generation wins
-  // over the argument, disagreements fail before any file is touched, and a
-  // member stamped for a different set size or slot is rejected outright.
+  // over the argument, and a set that breaks the shard-set rule fails
+  // before any file is touched.
   std::optional<uint64_t> existing;
   for (size_t k = 0; k < num_shards; ++k) {
     const std::string path = ShardWalPath(base_path, k);
     if (!env->FileExists(path)) continue;
     CONSENTDB_ASSIGN_OR_RETURN(WalReplay replay, ReadWal(env, path));
-    // Headerless members are creation-crash residue; Open heals and
-    // re-stamps them (or rejects them if they somehow carry records).
-    if (!replay.shard.has_value()) continue;
-    if (replay.shard->num_shards != num_shards ||
-        replay.shard->shard_id != k) {
-      return Status::FailedPrecondition(
-          "wal stamped for a different shard set (want shard " +
-          std::to_string(k) + "/" + std::to_string(num_shards) + "): " + path);
-    }
-    if (existing.has_value() && *existing != replay.shard->generation) {
-      return Status::FailedPrecondition(
-          "mixed-generation shard wal set at " + base_path);
-    }
-    existing = replay.shard->generation;
+    CONSENTDB_RETURN_IF_ERROR(CheckShardSetMember(
+        path, k, num_shards, replay.shard, !replay.answers.empty(),
+        &existing));
   }
   ShardWalSet set;
   set.generation = existing.value_or(generation);

@@ -8,10 +8,11 @@
 //   consentdb-wal 1\n                              (16-byte magic)
 //   [ u32 payload_len | u32 crc32(payload) | payload ]*
 //
-// with payload = { u8 record_type = 1 | u8 answer | u64 var_id }. Records
-// are length-prefixed and CRC-checksummed, so a truncated or torn final
-// record (the only damage a crashed append can cause) is detected and
-// dropped while the clean prefix replays in full.
+// with payload = { u8 record_type = 1 | u8 answer | u64 var_id }. The
+// records are util/codec.h's, the same the probe wire protocol frames:
+// length-prefixed and CRC-checksummed, so a truncated or torn final record
+// (the only damage a crashed append can cause) is detected and dropped
+// while the clean prefix replays in full.
 //
 // Durability is tunable via a group-commit window on the injectable Clock:
 // window 0 fsyncs every record (an answer is durable before AppendAnswer
@@ -52,24 +53,16 @@ class ConsentLedger;
 // magic — payload { u8 record_type = 2 | u8 reserved = 0 | u32 shard_id |
 // u32 num_shards | u64 generation } — and preserved across tail healing and
 // compaction, so a log can never silently migrate between shard sets:
-// recovery rejects a set whose members disagree on (num_shards, generation)
-// or sit at the wrong shard index. Files without the record are plain
-// single-ledger logs (the pre-sharding format, still fully supported).
+// opening and recovering a set both apply CheckShardSetMember to every
+// member. Files without the record are plain single-ledger logs (the
+// pre-sharding format, still fully supported).
 struct WalShardInfo {
   uint32_t shard_id = 0;
   uint32_t num_shards = 1;
-  // Shard-set epoch: bumped when a new leader set is cut over (replica
-  // promotion), so logs of the demoted generation can never be mixed into
-  // the new set's recovery.
+  // Shard-set epoch, chosen when the set is first created: every member of
+  // one set carries the same value, so logs of two different sets can never
+  // be mixed into one recovery.
   uint64_t generation = 0;
-
-  friend bool operator==(const WalShardInfo& a, const WalShardInfo& b) {
-    return a.shard_id == b.shard_id && a.num_shards == b.num_shards &&
-           a.generation == b.generation;
-  }
-  friend bool operator!=(const WalShardInfo& a, const WalShardInfo& b) {
-    return !(a == b);
-  }
 };
 
 struct WalOptions {
@@ -181,18 +174,6 @@ struct WalReplay {
 // prefix in `answers`.
 [[nodiscard]] Result<WalReplay> ReadWal(Env* env, const std::string& path);
 
-// ReadWal over bytes already in hand (magic included): for followers that
-// read the log themselves and need the parse to line up with the exact
-// bytes they fetched. `path` is for error messages only.
-[[nodiscard]] Result<WalReplay> ParseWalContent(std::string_view content,
-                                                const std::string& path);
-
-// Parses a bare record stream (no magic): the incremental-tail path of a
-// follower (replica.h) parsing only the bytes appended since its last
-// poll. Damage never makes this fail — torn or corrupt tails come back in
-// the replay flags with the clean prefix, exactly as in ReadWal.
-[[nodiscard]] WalReplay ParseWalRecords(std::string_view bytes);
-
 // What RecoverLedger replayed; mirrored into the recovery.* metrics.
 struct RecoveryStats {
   uint64_t snapshot_answers = 0;  // answers restored from the snapshot sidecar
@@ -217,6 +198,20 @@ struct RecoveryStats {
     Env* env, const std::string& wal_path, ConsentLedger* ledger,
     obs::MetricsRegistry* metrics = nullptr, Clock* clock = nullptr);
 
+// The shard-set rule, checked one member at a time in shard-id order by
+// everything that opens or recovers a set: a member that is present is
+// stamped {shard `shard_id` of `num_shards`}, every stamped member carries
+// one generation, and a member without a header carries no records.
+// `header` is the member's shard header, if it has one; `carries_records`
+// whether the member holds any answer. `*generation` is the generation of
+// the members checked so far — filled in by the first stamped member, or
+// preset to demand a specific one. FailedPrecondition naming `path` when
+// the member breaks the rule.
+[[nodiscard]] Status CheckShardSetMember(
+    const std::string& path, size_t shard_id, size_t num_shards,
+    const std::optional<WalShardInfo>& header, bool carries_records,
+    std::optional<uint64_t>* generation);
+
 // One WAL per ledger shard, opened as a set (see sharded_ledger.h).
 struct ShardWalSet {
   std::vector<std::unique_ptr<WalWriter>> wals;
@@ -231,10 +226,11 @@ struct ShardWalSet {
 // Opens — creating if absent — the `num_shards` WAL files of the sharded
 // log set rooted at `base_path` (ShardWalPath(base_path, k) for shard k).
 // Fresh files are stamped with `generation`; when any member already
-// carries a header, the existing generation wins and every member must
-// agree on it (and on num_shards), otherwise the open fails — resizing a
-// shard set or mixing logs from two generations is never silent. `options`
-// applies to every member (options.shard is filled in per shard).
+// carries a header, the existing generation wins. Every existing member
+// must pass CheckShardSetMember, otherwise the open fails before any file
+// is touched — resizing a shard set or mixing logs from two generations is
+// never silent. `options` applies to every member (options.shard is filled
+// in per shard).
 [[nodiscard]] Result<ShardWalSet> OpenShardWalSet(Env* env,
                                                   const std::string& base_path,
                                                   size_t num_shards,

@@ -118,10 +118,7 @@ Status WriteCheckpoint(
   out << "end\n";
   // Atomic publish: a crash mid-write leaves the previous checkpoint (or
   // nothing) in place, never a torn file under `path`.
-  const std::string tmp = path + ".tmp";
-  CONSENTDB_RETURN_IF_ERROR(env->WriteStringToFile(tmp, out.str(),
-                                                   /*sync=*/true));
-  return env->RenameFile(tmp, path);
+  return env->WriteFileAtomically(path, out.str());
 }
 
 Result<RestoredCheckpoint> ReadCheckpoint(Env* env, const std::string& path) {
@@ -198,27 +195,10 @@ Result<ShardRecoveryStats> RecoverShardedLedger(Env* env,
     CONSENTDB_ASSIGN_OR_RETURN(
         consent::RecoveryStats shard_stats,
         consent::RecoverLedger(env, wal_path, ledger, metrics, clock));
-    if (shard_stats.shard.has_value()) {
-      if (shard_stats.shard->num_shards != num_shards ||
-          shard_stats.shard->shard_id != k) {
-        return Status::FailedPrecondition(
-            "shard wal stamped for a different set (want shard " +
-            std::to_string(k) + "/" + std::to_string(num_shards) +
-            "): " + wal_path);
-      }
-      if (generation.has_value() &&
-          *generation != shard_stats.shard->generation) {
-        return Status::FailedPrecondition(
-            "mixed-generation shard set at " + base_path + ": shard " +
-            std::to_string(k) + " is generation " +
-            std::to_string(shard_stats.shard->generation) + ", expected " +
-            std::to_string(*generation));
-      }
-      generation = shard_stats.shard->generation;
-    } else if (shard_stats.wal_records + shard_stats.snapshot_answers > 0) {
-      return Status::FailedPrecondition(
-          "shard wal carries answers but no shard header: " + wal_path);
-    }
+    CONSENTDB_RETURN_IF_ERROR(consent::CheckShardSetMember(
+        wal_path, k, num_shards, shard_stats.shard,
+        shard_stats.wal_records + shard_stats.snapshot_answers > 0,
+        &generation));
     stats.shards.push_back(shard_stats);
   }
   stats.generation = generation.value_or(0);

@@ -84,14 +84,17 @@ struct RestoredCheckpoint {
 // replay order is a pure function of shard ids — no map iteration order
 // can leak into what recovery produces.
 //
-// The per-shard generation header guards the set: a member stamped for a
-// different (num_shards, generation) or sitting at the wrong slot fails
-// recovery with FailedPrecondition. Without this, a stale shard file from
-// a demoted leader generation could silently resurrect into the merged
-// view. Missing members are fine (a crash before a shard's first append
-// creates nothing); a headerless member carrying records is rejected —
-// only a header-before-records file can claim membership. On any error the
-// target ledger may hold a partial merge and must be discarded.
+// The per-shard generation header guards the set: every member must pass
+// the shard-set rule (consent::CheckShardSetMember, the same check
+// OpenShardWalSet applies), so a member stamped for a different
+// (num_shards, generation) or sitting at the wrong slot fails recovery
+// with FailedPrecondition. Without this, a stale shard file from another
+// set could silently resurrect into the merged view. Missing members are
+// fine (a crash before a shard's first append creates nothing); a
+// headerless member carrying records — in its WAL or its snapshot sidecar
+// — is rejected: only a header-before-records file can claim membership.
+// On any error the target ledger may hold a partial merge and must be
+// discarded.
 
 // What RecoverShardedLedger replayed.
 struct ShardRecoveryStats {

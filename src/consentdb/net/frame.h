@@ -1,5 +1,6 @@
-// Wire framing for the probe service: the WAL record idiom (consent/wal.h)
-// generalized to a byte stream.
+// Wire framing for the probe service: the CRC-checked record of
+// util/codec.h, the same record the WAL (consent/wal.h) journals, carried
+// over a byte stream.
 //
 // Stream format (binary, little-endian):
 //
@@ -9,7 +10,11 @@
 // CRC-checksummed, so a torn tail (connection dropped mid-frame) is simply
 // an incomplete buffer that dies with the connection, while a corrupted
 // frame (bit flip in flight) is detected and reported — the receiver must
-// treat it as fatal for the connection, never try to resynchronize.
+// treat it as fatal for the connection, never try to resynchronize. A
+// damaged length prefix is caught once the 8-byte header is buffered if it
+// reads 0 or above kMaxFramePayload; any other damaged length leaves the
+// parser waiting for bytes that never come, which only a read-stall
+// timeout ends.
 //
 // Every encoded byte is a pure function of the message fields: no map
 // iteration order, no clocks, no addresses ever reach the wire, so two runs
@@ -23,29 +28,13 @@
 #include <string>
 #include <string_view>
 
-#include "consentdb/util/result.h"
+#include "consentdb/util/codec.h"
 
 namespace consentdb::net {
 
-// Upper bound on one frame's payload; a length prefix beyond this is a
-// framing violation (garbage or an attack), not a big message.
-inline constexpr uint32_t kMaxFramePayload = 1u << 20;
-
-// --- Little-endian field primitives (shared by frame.cc and protocol.cc) ---
-
-void PutU8(std::string* out, uint8_t v);
-void PutU32(std::string* out, uint32_t v);
-void PutU64(std::string* out, uint64_t v);
-// Length-prefixed string: u32 size then the raw bytes.
-void PutString(std::string* out, std::string_view v);
-
-// Cursor-based readers: advance `*pos` and return false on underrun.
-bool GetU8(std::string_view in, size_t* pos, uint8_t* v);
-bool GetU32(std::string_view in, size_t* pos, uint32_t* v);
-bool GetU64(std::string_view in, size_t* pos, uint64_t* v);
-bool GetString(std::string_view in, size_t* pos, std::string* v);
-
-// --- Frames ----------------------------------------------------------------
+// Upper bound on one frame's payload: the record bound every reader of
+// util/codec.h shares with the WAL.
+inline constexpr uint32_t kMaxFramePayload = kMaxRecordPayload;
 
 // One complete frame: its type byte and the body after it.
 struct Frame {

@@ -180,11 +180,9 @@ void ProbeServer::HandleMessage(uint64_t cid, Message msg) {
     }
     ServerSession& s = it->second;
     s.sent_probe.reset();
-    consent::ProbeFault kind =
-        fault->fault == static_cast<uint8_t>(consent::ProbeFault::kUnavailable)
-            ? consent::ProbeFault::kUnavailable
-            : consent::ProbeFault::kTransient;
-    s.run->OnFault(static_cast<provenance::VarId>(fault->variable), kind);
+    // DecodeMessage admits only kTransient and kUnavailable.
+    s.run->OnFault(static_cast<provenance::VarId>(fault->variable),
+                   static_cast<consent::ProbeFault>(fault->fault));
     PumpSession(s);
     return;
   }

@@ -1,7 +1,7 @@
 // Probe-service message protocol, layered on net/frame.h.
 //
 // The frame type byte is the MsgType; the frame body is the message fields
-// serialized with the little-endian primitives from frame.h. Session
+// serialized with the little-endian primitives of util/codec.h. Session
 // lifecycle (see DESIGN.md §4k):
 //
 //   client                         server
@@ -29,6 +29,8 @@
 
 namespace consentdb::net {
 
+// The wire type byte of each message: enumerator k is the Message
+// alternative at index k - 1 (the codec relies on that order).
 enum class MsgType : uint8_t {
   kOpenSession = 1,
   kProbeRequest = 2,
@@ -48,8 +50,8 @@ struct OpenSession {
   uint64_t session_id = 0;
   std::string tenant;
   std::string sql;
-  // When has_single is nonzero, decide consent for the one snapshot row in
-  // single_csv instead of the whole result set.
+  // When has_single is 1, decide consent for the one snapshot row in
+  // single_csv instead of the whole result set (0 or 1 on the wire).
   uint8_t has_single = 0;
   std::string single_csv;
   // Client-propagated session deadline, relative nanos from admission;
@@ -69,11 +71,11 @@ struct ProbeRequest {
 struct ProbeAnswer {
   uint64_t session_id = 0;
   uint64_t variable = 0;
-  uint8_t answer = 0;  // 0 = deny, 1 = grant
+  uint8_t answer = 0;  // 0 = deny, 1 = grant; any other byte is rejected
 };
 
 // Client -> server: the probe could not be answered. `fault` carries the
-// consent::ProbeFault enumerator value.
+// consent::ProbeFault enumerator value, kTransient or kUnavailable.
 struct ProbeFaultMsg {
   uint64_t session_id = 0;
   uint64_t variable = 0;
@@ -116,8 +118,10 @@ using Message = std::variant<OpenSession, ProbeRequest, ProbeAnswer,
 std::string EncodeMessage(const Message& msg);
 
 // Decodes a frame (type byte + body) back into a Message. kInvalidArgument
-// on an unknown type or a truncated/overlong body — the caller should treat
-// that like a corrupt frame and drop the connection.
+// on an unknown type, a truncated/overlong body, or a flag byte outside its
+// values (answer and has_single other than 0/1, fault other than
+// kTransient/kUnavailable) — the caller should treat that like a corrupt
+// frame and drop the connection.
 Result<Message> DecodeMessage(uint8_t type, std::string_view body);
 
 // StatusCode <-> wire byte for ErrorMsg::code. An out-of-range wire byte

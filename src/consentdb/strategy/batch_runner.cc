@@ -7,8 +7,7 @@ namespace consentdb::strategy {
 BatchProbeRun RunToCompletionBatched(EvaluationState& state,
                                      const StrategyFactory& factory,
                                      const ProbeFn& probe, size_t batch_size,
-                                     const RunInstrumentation& instr,
-                                     bool skip_answered) {
+                                     const RunInstrumentation& instr) {
   CONSENTDB_CHECK(batch_size >= 1, "batch size must be positive");
   BatchProbeRun run;
   obs::Histogram* plan_ns = obs::MaybeHistogram(instr.metrics, "batch.plan_ns");
@@ -32,20 +31,10 @@ BatchProbeRun RunToCompletionBatched(EvaluationState& state,
     const int64_t planning = instr.enabled() ? obs::MonotonicNanos() - t0 : 0;
     if (plan_ns != nullptr) plan_ns->Observe(static_cast<uint64_t>(planning));
     CONSENTDB_CHECK(!batch.empty(), "empty batch with undecided formulas");
-    // Send the batch. Under the default accounting every planned probe is
-    // sent and counts, even those made redundant by earlier answers of the
-    // same round; under skip_answered, redundant probes (variable answered
-    // or no longer useful in the real state) are dropped before reaching
-    // the oracle. The round's first probe is always sent: it was chosen on
-    // the real state, so it is useful and unanswered.
+    // Send the batch: every planned probe is sent and counts, even those
+    // made redundant by earlier answers of the same round.
     bool planning_attributed = false;
     for (VarId x : batch) {
-      if (skip_answered &&
-          (state.var_value(x) != Truth::kUnknown || !state.IsUseful(x))) {
-        ++run.num_skipped;
-        obs::Increment(instr.metrics, "batch.skipped");
-        continue;
-      }
       bool answer = probe(x);
       ++run.num_probes;
       if (state.var_value(x) == Truth::kUnknown) state.Assign(x, answer);

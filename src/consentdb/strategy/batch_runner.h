@@ -22,8 +22,6 @@ struct BatchProbeRun {
   size_t num_probes = 0;
   // Latency rounds: batches sent.
   size_t num_rounds = 0;
-  // Probes planned but not sent (skip_answered accounting only).
-  size_t num_skipped = 0;
   std::vector<Truth> outcomes;
 };
 
@@ -31,25 +29,15 @@ struct BatchProbeRun {
 // Within a round, the strategy's subsequent picks are derived on a scratch
 // copy of the state under the most-likely-answer assumption (x assumed True
 // iff pi(x) >= 0.5). batch_size == 1 degenerates to sequential probing.
-// With instrumentation attached, per-round planning time goes to the
+// The whole planned batch is sent (the paper's model): every sent probe
+// counts, even those made redundant (their variable answered or their
+// formulas decided) by earlier answers of the same round. With
+// instrumentation attached, per-round planning time goes to the
 // "batch.plan_ns" histogram and every sent probe becomes a tracer event.
-//
-// `skip_answered` selects the round's send-time accounting:
-//   * false (default, the paper's model): the whole planned batch is sent —
-//     every sent probe counts, even those made redundant (their variable
-//     answered or their formulas decided) by earlier answers of the same
-//     round.
-//   * true: before sending each planned probe, the variable is re-checked
-//     against the REAL state; probes whose variable is already answered or
-//     no longer useful are dropped (not sent to the oracle, not counted,
-//     tallied in num_skipped). This is the accounting the session engine's
-//     shared consent ledger needs: a variable answered by a concurrent
-//     session must not be re-sent to its peer.
 BatchProbeRun RunToCompletionBatched(EvaluationState& state,
                                      const StrategyFactory& factory,
                                      const ProbeFn& probe, size_t batch_size,
-                                     const RunInstrumentation& instr = {},
-                                     bool skip_answered = false);
+                                     const RunInstrumentation& instr = {});
 
 struct BudgetedProbeRun {
   size_t num_probes = 0;

@@ -114,6 +114,13 @@ Status Env::WriteStringToFile(const std::string& path, std::string_view data,
   return file->Close();
 }
 
+Status Env::WriteFileAtomically(const std::string& path,
+                                std::string_view data) {
+  const std::string tmp = path + ".tmp";
+  CONSENTDB_RETURN_IF_ERROR(WriteStringToFile(tmp, data, /*sync=*/true));
+  return RenameFile(tmp, path);
+}
+
 Env* Env::Default() {
   static PosixEnv* env = new PosixEnv;  // lint:allow naked-new
   return env;

@@ -77,6 +77,12 @@ class Env {
   [[nodiscard]] Status WriteStringToFile(const std::string& path,
                                          std::string_view data, bool sync);
 
+  // Crash-safe full-file replace: writes `data` to `<path>.tmp`, fsyncs it
+  // and renames it over `path`, so a crash at any point leaves `path`
+  // holding either its old content or `data`, never a torn mix.
+  [[nodiscard]] Status WriteFileAtomically(const std::string& path,
+                                           std::string_view data);
+
   // The process-wide POSIX environment.
   static Env* Default();
 };

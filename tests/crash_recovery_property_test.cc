@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "consentdb/consent/oracle.h"
-#include "consentdb/consent/replica.h"
 #include "consentdb/consent/sharded_ledger.h"
 #include "consentdb/consent/wal.h"
 #include "consentdb/core/checkpoint.h"
@@ -37,7 +36,6 @@ namespace consentdb {
 namespace {
 
 using consent::ConsentLedger;
-using consent::LedgerReplica;
 using consent::OpenShardWalSet;
 using consent::RecoveryStats;
 using consent::ShardedConsentLedger;
@@ -46,9 +44,6 @@ using consent::ValuationOracle;
 using consent::WalOptions;
 using consent::WalWriter;
 using provenance::PartialValuation;
-using provenance::VarId;
-
-using AnswerVec = std::vector<std::pair<VarId, bool>>;
 
 TEST(CrashRecoveryProperty, ResumedSessionsAreByteIdenticalAndProbeOnceEver) {
   consent::SharedDatabase sdb = testing::RecruitmentDatabase();
@@ -230,22 +225,7 @@ TEST(CrashRecoveryProperty, RepeatedCrashesNeverLoseJournaledConsent) {
   }
 }
 
-// A deterministic backing oracle for the replica-focused schedules: the
-// answer function is a pure function of the variable id, so every restart
-// and every follower sees one consistent world.
-class StableOracle : public consent::ProbeOracle {
- public:
-  bool Probe(VarId x) override {
-    ++probes_;
-    return x % 3 == 0;
-  }
-  size_t probe_count() const override { return probes_; }
-
- private:
-  size_t probes_ = 0;
-};
-
-// The shard×replica crash grid: 240 seeded random schedules over shard
+// The shard crash grid: 240 seeded random schedules over shard
 // counts {1, 2, 4, 7}, each journaling a full consent session through a
 // shard WAL set on CrashingEnv and killing the process (kill or power
 // loss, torn writes at random) anywhere from set creation to the final
@@ -256,10 +236,6 @@ class StableOracle : public consent::ProbeOracle {
 //      resumed session reports byte-identically to the uninterrupted run.
 //   2. Zero duplicate probes: the resumed session's oracle traffic is
 //      exactly (distinct variables) − (answers recovered across shards).
-//   3. A replica assembled over the surviving files agrees byte-for-byte
-//      with what recovery restored, and a "crashed" follower (destroyed
-//      and rebuilt — followers hold no durable state) resyncs to the same
-//      view.
 TEST(ShardedCrashGrid, CrashedShardSetsRecoverExactlyAtEveryShardCount) {
   consent::SharedDatabase sdb = testing::RecruitmentDatabase();
   core::ConsentManager manager(sdb);
@@ -364,21 +340,6 @@ TEST(ShardedCrashGrid, CrashedShardSetsRecoverExactlyAtEveryShardCount) {
       EXPECT_EQ(stats.value().generation, generation);
     }
 
-    // A replica tailing the same surviving files converges to exactly the
-    // recovered view, and a rebuilt follower (a follower crash is just
-    // destruction — it owns no durable state) resyncs to it again.
-    LedgerReplica replica(&env, "ledger", num_shards);
-    Status polled = replica.Poll();
-    ASSERT_TRUE(polled.ok()) << polled.ToString();
-    Result<AnswerVec> replica_view = replica.Answers();
-    ASSERT_TRUE(replica_view.ok()) << replica_view.status().ToString();
-    EXPECT_EQ(replica_view.value(), recovered->Answers());
-    LedgerReplica rebuilt(&env, "ledger", num_shards);
-    ASSERT_TRUE(rebuilt.Poll().ok());
-    Result<AnswerVec> rebuilt_view = rebuilt.Answers();
-    ASSERT_TRUE(rebuilt_view.ok()) << rebuilt_view.status().ToString();
-    EXPECT_EQ(rebuilt_view.value(), replica_view.value());
-
     // Byte-identical resume, with zero duplicate probes across the crash.
     ValuationOracle resumed_backing(hidden);
     core::SessionOptions resume_options;
@@ -394,147 +355,6 @@ TEST(ShardedCrashGrid, CrashedShardSetsRecoverExactlyAtEveryShardCount) {
   EXPECT_GT(completed_schedules, 10u);
   EXPECT_GT(torn_schedules, 60u);
   EXPECT_GT(power_loss_schedules, 60u);
-}
-
-// Follower crash mid-catch-up: a follower that saw only a prefix of the
-// leader's writes dies (destruction — followers are crash-free state) and
-// a fresh one over the same paths converges to the full view. The cutover
-// it then feeds a promoted leader produces zero duplicate probes.
-TEST(ShardedCrashGrid, FollowerCrashMidCatchupResyncsAndCutsOverExactly) {
-  CrashingEnv env;
-  Result<ShardWalSet> set =
-      OpenShardWalSet(&env, "ledger", 4, /*generation=*/2);
-  ASSERT_TRUE(set.ok()) << set.status().ToString();
-  ShardedConsentLedger leader(4);
-  leader.AttachShardJournals(set.value().pointers());
-  StableOracle oracle;
-
-  // Wave 1, with a replica catching up mid-stream.
-  for (VarId x = 0; x < 20; ++x) {
-    ASSERT_TRUE(leader.TryProbeVia(oracle, x).ok());
-  }
-  for (WalWriter* wal : set.value().pointers()) ASSERT_TRUE(wal->Sync().ok());
-  auto mid_catchup = std::make_unique<LedgerReplica>(&env, "ledger", 4);
-  ASSERT_TRUE(mid_catchup->Poll().ok());
-  EXPECT_EQ(mid_catchup->size(), 20u);
-
-  // The follower dies mid-catch-up; the leader keeps writing.
-  mid_catchup.reset();
-  for (VarId x = 20; x < 48; ++x) {
-    ASSERT_TRUE(leader.TryProbeVia(oracle, x).ok());
-  }
-  for (WalWriter* wal : set.value().pointers()) ASSERT_TRUE(wal->Sync().ok());
-
-  // A rebuilt follower over the same paths converges to the full view.
-  LedgerReplica rebuilt(&env, "ledger", 4);
-  ASSERT_TRUE(rebuilt.Poll().ok());
-  Result<AnswerVec> view = rebuilt.Answers();
-  ASSERT_TRUE(view.ok()) << view.status().ToString();
-  EXPECT_EQ(view.value(), leader.Answers());
-
-  // Cutover → a new leader generation seeded with the merged answers; a
-  // session over the seeded ledger never re-probes a replicated variable.
-  Result<LedgerReplica::Cutover> cutover = rebuilt.CutOver();
-  ASSERT_TRUE(cutover.ok()) << cutover.status().ToString();
-  EXPECT_EQ(cutover.value().next_generation, 3u);
-  Result<ShardWalSet> promoted = OpenShardWalSet(
-      &env, "promoted", 2, cutover.value().next_generation);
-  ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
-  ShardedConsentLedger new_leader(2);
-  new_leader.AttachShardJournals(promoted.value().pointers());
-  for (const auto& [x, answer] : cutover.value().answers) {
-    ASSERT_TRUE(new_leader.RestoreAnswer(x, answer).ok());
-  }
-  StableOracle resumed_oracle;
-  for (VarId x = 0; x < 48; ++x) {
-    ASSERT_TRUE(new_leader.TryProbeVia(resumed_oracle, x).ok());
-  }
-  EXPECT_EQ(resumed_oracle.probe_count(), 0u);  // zero duplicate probes
-  EXPECT_EQ(new_leader.Answers(), leader.Answers());
-}
-
-// Power loss on the leader must never invalidate a follower: answers the
-// leader loses from its unsynced tail were still really given by peers, so
-// a follower that replicated them keeps them — and the recovered leader,
-// re-probing the lost variables, rejoins the follower's view without a
-// conflict.
-TEST(ShardedCrashGrid, LeaderPowerLossNeverUnlearnsReplicatedAnswers) {
-  CrashingEnv env;
-  // A huge group-commit window on a frozen virtual clock: nothing past the
-  // creation fsync is durable until the crash.
-  VirtualClock clock;
-  WalOptions wal_options;
-  wal_options.group_commit_window_nanos = 1'000'000'000;
-  wal_options.clock = &clock;
-
-  size_t follower_size_before_crash = 0;
-  AnswerVec follower_view_before_crash;
-  LedgerReplica replica(&env, "ledger", 2);
-  {
-    Result<ShardWalSet> set =
-        OpenShardWalSet(&env, "ledger", 2, /*generation=*/1, wal_options);
-    ASSERT_TRUE(set.ok()) << set.status().ToString();
-    ShardedConsentLedger leader(2);
-    leader.AttachShardJournals(set.value().pointers());
-    StableOracle oracle;
-    for (VarId x = 0; x < 24; ++x) {
-      ASSERT_TRUE(leader.TryProbeVia(oracle, x).ok());
-    }
-
-    // The follower replicates the unsynced tail (it tails the page cache
-    // the leader wrote), then the cord is cut.
-    ASSERT_TRUE(replica.Poll().ok());
-    follower_size_before_crash = replica.size();
-    EXPECT_EQ(follower_size_before_crash, 24u);
-    Result<AnswerVec> view = replica.Answers();
-    ASSERT_TRUE(view.ok());
-    follower_view_before_crash = view.value();
-
-    CrashPlan plan;
-    plan.crash_at_append = 1;  // the very next append dies
-    plan.power_loss = true;    // ... and the platter only has synced bytes
-    env.set_plan(plan);
-    EXPECT_THROW(leader.TryProbeVia(oracle, 24), CrashInjected);
-  }
-  env.Restart();
-
-  // The recovered leader lost the unsynced answers ...
-  ConsentLedger recovered;
-  Result<core::ShardRecoveryStats> stats =
-      core::RecoverShardedLedger(&env, "ledger", 2, &recovered);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  ASSERT_LT(stats.value().recovered_answers, 24u);
-
-  // ... but the follower keeps every one of them: polls over the shrunken
-  // files resync without unlearning.
-  ASSERT_TRUE(replica.Poll().ok());
-  EXPECT_GE(replica.size(), follower_size_before_crash);
-  for (const auto& [x, answer] : follower_view_before_crash) {
-    EXPECT_EQ(replica.Lookup(x), std::optional<bool>(answer)) << "x=" << x;
-  }
-
-  // The leader re-probes what it lost; peers answer consistently, so the
-  // follower converges back to the same view with zero conflicts.
-  Result<ShardWalSet> reopened =
-      OpenShardWalSet(&env, "ledger", 2, /*generation=*/1);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  ShardedConsentLedger resumed(2);
-  for (const auto& [x, answer] : recovered.Answers()) {
-    ASSERT_TRUE(resumed.RestoreAnswer(x, answer).ok());
-  }
-  resumed.AttachShardJournals(reopened.value().pointers());
-  StableOracle resumed_oracle;
-  for (VarId x = 0; x < 24; ++x) {
-    ASSERT_TRUE(resumed.TryProbeVia(resumed_oracle, x).ok());
-  }
-  EXPECT_EQ(resumed_oracle.probe_count(), 24u - stats.value().recovered_answers);
-  for (WalWriter* wal : reopened.value().pointers()) {
-    ASSERT_TRUE(wal->Sync().ok());
-  }
-  ASSERT_TRUE(replica.Poll().ok());
-  Result<AnswerVec> final_view = replica.Answers();
-  ASSERT_TRUE(final_view.ok()) << final_view.status().ToString();
-  EXPECT_EQ(final_view.value(), resumed.Answers());
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "consentdb/consent/oracle.h"
-#include "consentdb/consent/replica.h"
 #include "consentdb/consent/sharded_ledger.h"
 #include "consentdb/consent/snapshot.h"
 #include "consentdb/consent/wal.h"
@@ -354,40 +353,6 @@ TEST(DeterminismTest, PlanFingerprintStableAcrossShardedCheckpointRoundTrip) {
   // session resumed from a sharded checkpoint must hash to the same entry.
   EXPECT_EQ(replanned.value()->Fingerprint(), original.value()->Fingerprint());
   EXPECT_EQ(replanned.value()->ToString(), original.value()->ToString());
-}
-
-TEST(DeterminismTest, ReplicaViewIndependentOfPollSchedule) {
-  CrashingEnv env;
-  Result<consent::ShardWalSet> set =
-      consent::OpenShardWalSet(&env, "ledger", 4, /*generation=*/1);
-  ASSERT_TRUE(set.ok()) << set.status().ToString();
-  consent::ShardedConsentLedger leader(4);
-  leader.AttachShardJournals(set.value().pointers(),
-                             /*compact_every_records=*/2);
-  PureOracle oracle;
-
-  // `eager` polls after every probe (riding compaction rewrites); `lazy`
-  // polls exactly once at the end.
-  consent::LedgerReplica eager(&env, "ledger", 4);
-  consent::LedgerReplica lazy(&env, "ledger", 4);
-  for (VarId x = 0; x < 48; ++x) {
-    ASSERT_TRUE(leader.TryProbeVia(oracle, x).ok());
-    ASSERT_TRUE(eager.Poll().ok());
-  }
-  for (consent::WalWriter* wal : set.value().pointers()) {
-    ASSERT_TRUE(wal->Sync().ok());
-  }
-  ASSERT_TRUE(eager.Poll().ok());
-  ASSERT_TRUE(lazy.Poll().ok());
-
-  Result<AnswerVec> eager_view = eager.Answers();
-  Result<AnswerVec> lazy_view = lazy.Answers();
-  ASSERT_TRUE(eager_view.ok()) << eager_view.status().ToString();
-  ASSERT_TRUE(lazy_view.ok()) << lazy_view.status().ToString();
-  EXPECT_EQ(eager_view.value(), lazy_view.value());
-  EXPECT_EQ(eager_view.value(), leader.Answers());
-  EXPECT_EQ(SaveLedgerSnapshot(eager_view.value()),
-            SaveLedgerSnapshot(lazy_view.value()));
 }
 
 }  // namespace

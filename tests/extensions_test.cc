@@ -110,58 +110,22 @@ TEST(BatchRunnerTest, CorrectOnAllValuations) {
   }
 }
 
-TEST(BatchRunnerTest, SkipAnsweredDropsProbesMadeRedundantMidRound) {
+TEST(BatchRunnerTest, SendsProbesMadeRedundantMidRound) {
   // One term {x0, x1}: once x0 answers False the formula is decided and x1
-  // stops being useful. The default accounting still sends the planned x1
-  // probe (the paper's model: a dispatched batch costs its full size); the
-  // skip_answered accounting re-checks the real state and drops it.
+  // stops being useful. The planned x1 probe is still sent and counted (the
+  // paper's model: a dispatched batch costs its full size).
   std::vector<Dnf> dnfs = {Dnf({VarSet{0, 1}})};
   std::vector<double> pi = UniformPi(2, 0.9);
   PartialValuation hidden(2);
   hidden.Set(0, false);
   hidden.Set(1, true);
 
-  EvaluationState default_state(dnfs, pi);
-  BatchProbeRun sent_all = RunToCompletionBatched(
-      default_state, MakeRoFactory(), FromValuation(hidden), 2);
-  EXPECT_EQ(sent_all.num_probes, 2u);
-  EXPECT_EQ(sent_all.num_skipped, 0u);
-  EXPECT_EQ(sent_all.num_rounds, 1u);
-
-  size_t oracle_calls = 0;
-  ProbeFn counting = [&hidden, &oracle_calls](VarId x) {
-    ++oracle_calls;
-    return hidden.Get(x) == Truth::kTrue;
-  };
-  EvaluationState skip_state(dnfs, pi);
-  BatchProbeRun skipped = RunToCompletionBatched(
-      skip_state, MakeRoFactory(), counting, 2, {}, /*skip_answered=*/true);
-  EXPECT_EQ(skipped.num_probes, 1u);
-  EXPECT_EQ(skipped.num_skipped, 1u);
-  EXPECT_EQ(oracle_calls, 1u);  // the redundant probe never reached the peer
-
-  EXPECT_EQ(skipped.outcomes, sent_all.outcomes);
-  EXPECT_EQ(skipped.outcomes[0], Truth::kFalse);
-}
-
-TEST(BatchRunnerTest, SkipAnsweredMatchesDefaultWhenNothingIsRedundant) {
-  // All-true answers keep every planned probe useful, so both accountings
-  // send identical probes.
-  std::vector<Dnf> dnfs = {Dnf({VarSet{0, 1}, VarSet{2, 3}})};
-  std::vector<double> pi = UniformPi(4, 0.7);
-  PartialValuation hidden = AllSet(4, true);
-
-  EvaluationState default_state(dnfs, pi);
-  BatchProbeRun sent_all = RunToCompletionBatched(
-      default_state, MakeRoFactory(), FromValuation(hidden), 2);
-  EvaluationState skip_state(dnfs, pi);
-  BatchProbeRun skipped =
-      RunToCompletionBatched(skip_state, MakeRoFactory(), FromValuation(hidden),
-                             2, {}, /*skip_answered=*/true);
-  EXPECT_EQ(skipped.num_probes, sent_all.num_probes);
-  EXPECT_EQ(skipped.num_skipped, 0u);
-  EXPECT_EQ(skipped.num_rounds, sent_all.num_rounds);
-  EXPECT_EQ(skipped.outcomes, sent_all.outcomes);
+  EvaluationState state(dnfs, pi);
+  BatchProbeRun run =
+      RunToCompletionBatched(state, MakeRoFactory(), FromValuation(hidden), 2);
+  EXPECT_EQ(run.num_probes, 2u);
+  EXPECT_EQ(run.num_rounds, 1u);
+  EXPECT_EQ(run.outcomes[0], Truth::kFalse);
 }
 
 TEST(BatchRunnerTest, FailingOracleMidRoundDoesNotInflateRoundCount) {

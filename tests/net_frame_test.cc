@@ -186,6 +186,35 @@ TEST(Protocol, TrailingBytesRejected) {
   EXPECT_FALSE(decoded.ok());
 }
 
+// Flag bytes are enumerations, not booleans: a receiver must reject an
+// answer byte of 2 rather than read it as consent, and a fault byte of 0
+// (kNone) or 3 rather than read it as transient.
+TEST(Protocol, OutOfRangeFlagBytesRejected) {
+  auto decode = [](const Message& msg) {
+    FrameParser parser;
+    parser.Feed(EncodeMessage(msg));
+    Frame f;
+    EXPECT_EQ(parser.Next(&f), FrameParser::Event::kFrame);
+    return DecodeMessage(f.type, f.body);
+  };
+  for (int b = 0; b < 256; ++b) {
+    SCOPED_TRACE("flag byte " + std::to_string(b));
+    const auto byte = static_cast<uint8_t>(b);
+    const StatusCode boolean =
+        b <= 1 ? StatusCode::kOk : StatusCode::kInvalidArgument;
+    const StatusCode fault = b == 1 || b == 2  // kTransient, kUnavailable
+                                 ? StatusCode::kOk
+                                 : StatusCode::kInvalidArgument;
+    EXPECT_EQ(decode(ProbeAnswer{42, 7, byte}).status().code(), boolean);
+    EXPECT_EQ(
+        decode(OpenSession{42, "t", "SELECT a FROM B", byte, "", 0})
+            .status()
+            .code(),
+        boolean);
+    EXPECT_EQ(decode(ProbeFaultMsg{42, 7, byte}).status().code(), fault);
+  }
+}
+
 TEST(Protocol, UnknownTypeRejected) {
   Result<Message> decoded = DecodeMessage(250, "");
   ASSERT_FALSE(decoded.ok());

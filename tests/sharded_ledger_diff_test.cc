@@ -5,21 +5,21 @@
 // every observable artifact. The suite also pins the pieces that make that
 // hold: the stable shard routing, the cross-shard stats aggregation, the
 // shard-WAL round trip through OpenShardWalSet + RecoverShardedLedger, and
-// the replica/cutover path of consent/replica.h.
+// the shard-set rule both of them apply.
 //
-// Suite names deliberately start with ShardedLedger/Replica: the CI TSAN
-// row selects them by that prefix and runs the multithreaded cases under
-// the race detector.
+// Suite names deliberately start with ShardedLedger/ShardSetRule: the CI
+// TSAN row selects them by that prefix and runs the multithreaded cases
+// under the race detector.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "consentdb/consent/oracle.h"
-#include "consentdb/consent/replica.h"
 #include "consentdb/consent/sharded_ledger.h"
 #include "consentdb/consent/wal.h"
 #include "consentdb/core/checkpoint.h"
@@ -34,7 +34,6 @@ namespace consentdb {
 namespace {
 
 using consent::ConsentLedger;
-using consent::LedgerReplica;
 using consent::OpenShardWalSet;
 using consent::ProbeAttempt;
 using consent::ProbeFault;
@@ -42,7 +41,6 @@ using consent::ShardedConsentLedger;
 using consent::ShardWalPath;
 using consent::ShardWalSet;
 using consent::ValuationOracle;
-using consent::WalFollower;
 using consent::WalOptions;
 using consent::WalShardInfo;
 using consent::WalWriter;
@@ -383,129 +381,63 @@ TEST(ShardedLedgerDiff, WalSetRoundTripRecoversIdenticalLedger) {
   EXPECT_EQ(resized.status().code(), StatusCode::kFailedPrecondition);
 }
 
-TEST(ReplicaTest, FollowerTailsIncrementallyWithoutResync) {
-  CrashingEnv env;
-  Result<ShardWalSet> set =
-      OpenShardWalSet(&env, "led", 1, /*generation=*/1);
-  ASSERT_TRUE(set.ok()) << set.status().ToString();
-  ShardedConsentLedger leader(1);
-  leader.AttachShardJournals(set.value().pointers());
-
-  WalFollower follower(&env, ShardWalPath("led", 0));
-  FixedOracle oracle;
-  size_t expected = 0;
-  for (VarId batch = 0; batch < 3; ++batch) {
-    for (VarId i = 0; i < 8; ++i) {
-      ASSERT_TRUE(leader.TryProbeVia(oracle, batch * 8 + i).ok());
+// The shard-set rule (consent::CheckShardSetMember) as a table: every way
+// a member can break it must fail both OpenShardWalSet and
+// RecoverShardedLedger with FailedPrecondition, and the open must fail
+// before it touches any file. Each case lays out members 1 and 2 of a
+// three-member set; member 0 is absent, so an open that created files
+// before checking the set would leave it behind.
+TEST(ShardSetRule, EveryBreachFailsOpenAndRecovery) {
+  struct Member {
+    size_t slot;
+    std::optional<WalShardInfo> header;  // nullopt: a plain, headerless log
+  };
+  struct Case {
+    const char* name;
+    std::vector<Member> members;
+    StatusCode want;
+  };
+  const Case cases[] = {
+      {"a well-formed set (control)",
+       {{1, WalShardInfo{1, 3, 1}}, {2, WalShardInfo{2, 3, 1}}},
+       StatusCode::kOk},
+      {"a member at the wrong slot",
+       {{1, WalShardInfo{1, 3, 1}}, {2, WalShardInfo{1, 3, 1}}},
+       StatusCode::kFailedPrecondition},
+      {"a member stamped for another set size",
+       {{1, WalShardInfo{1, 3, 1}}, {2, WalShardInfo{2, 4, 1}}},
+       StatusCode::kFailedPrecondition},
+      {"a headerless member carrying records",
+       {{1, WalShardInfo{1, 3, 1}}, {2, std::nullopt}},
+       StatusCode::kFailedPrecondition},
+      {"mixed generations",
+       {{1, WalShardInfo{1, 3, 1}}, {2, WalShardInfo{2, 3, 2}}},
+       StatusCode::kFailedPrecondition},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    CrashingEnv env;
+    for (const Member& m : c.members) {
+      WalOptions options;
+      options.shard = m.header;
+      Result<std::unique_ptr<WalWriter>> wal =
+          WalWriter::Open(&env, ShardWalPath("set", m.slot), options);
+      ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+      ASSERT_TRUE(wal.value()->AppendAnswer(m.slot, true).ok());
+      ASSERT_TRUE(wal.value()->Close().ok());
     }
-    expected += 8;
-    ASSERT_TRUE(set.value().wals[0]->Sync().ok());
-    ASSERT_TRUE(follower.Poll().ok());
-    EXPECT_EQ(follower.size(), expected);
+
+    ConsentLedger merged;
+    Result<core::ShardRecoveryStats> recovered =
+        core::RecoverShardedLedger(&env, "set", 3, &merged);
+    EXPECT_EQ(recovered.status().code(), c.want)
+        << recovered.status().ToString();
+
+    Result<ShardWalSet> opened = OpenShardWalSet(&env, "set", 3);
+    EXPECT_EQ(opened.status().code(), c.want) << opened.status().ToString();
+    EXPECT_EQ(env.FileExists(ShardWalPath("set", 0)),
+              c.want == StatusCode::kOk);
   }
-  EXPECT_EQ(follower.Answers(), leader.Answers());
-  for (VarId x = 0; x < 24; ++x) {
-    EXPECT_EQ(follower.Lookup(x), leader.Lookup(x));
-  }
-  EXPECT_EQ(follower.polls(), 3u);
-  // After the first catch-up every poll was an incremental tail read.
-  EXPECT_EQ(follower.resyncs(), 0u);
-  ASSERT_TRUE(follower.shard().has_value());
-  EXPECT_EQ(follower.shard()->generation, 1u);
-}
-
-TEST(ReplicaTest, FollowerResyncsThroughCompaction) {
-  CrashingEnv env;
-  Result<ShardWalSet> set = OpenShardWalSet(&env, "led", 1);
-  ASSERT_TRUE(set.ok()) << set.status().ToString();
-  ShardedConsentLedger leader(1);
-  // Aggressive compaction: the log is rewritten under the follower's feet.
-  leader.AttachShardJournals(set.value().pointers(),
-                             /*compact_every_records=*/1);
-
-  WalFollower follower(&env, ShardWalPath("led", 0));
-  FixedOracle oracle;
-  for (VarId x = 0; x < 12; ++x) {
-    ASSERT_TRUE(leader.TryProbeVia(oracle, x).ok());
-    ASSERT_TRUE(follower.Poll().ok());
-  }
-  EXPECT_EQ(follower.Answers(), leader.Answers());
-  // The rewrites forced at least one genuine resync, and the view is still
-  // exact — resync and incremental tailing agree.
-  EXPECT_GT(follower.resyncs(), 0u);
-}
-
-TEST(ReplicaTest, ReplicaMergesShardsAndCutsOver) {
-  CrashingEnv env;
-  Result<ShardWalSet> set =
-      OpenShardWalSet(&env, "led", 4, /*generation=*/7);
-  ASSERT_TRUE(set.ok()) << set.status().ToString();
-  ShardedConsentLedger leader(4);
-  leader.AttachShardJournals(set.value().pointers());
-
-  FixedOracle oracle;
-  for (VarId x = 0; x < 64; ++x) {
-    ASSERT_TRUE(leader.TryProbeVia(oracle, x).ok());
-  }
-  for (WalWriter* wal : set.value().pointers()) {
-    ASSERT_TRUE(wal->Sync().ok());
-  }
-
-  LedgerReplica replica(&env, "led", 4);
-  ASSERT_TRUE(replica.Poll().ok());
-  EXPECT_EQ(replica.size(), leader.size());
-  Result<AnswerVec> merged = replica.Answers();
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  EXPECT_EQ(merged.value(), leader.Answers());
-  for (VarId x = 0; x < 64; ++x) {
-    EXPECT_EQ(replica.Lookup(x), leader.Lookup(x));
-  }
-
-  Result<LedgerReplica::Cutover> cutover = replica.CutOver();
-  ASSERT_TRUE(cutover.ok()) << cutover.status().ToString();
-  EXPECT_EQ(cutover.value().next_generation, 8u);
-  EXPECT_EQ(cutover.value().answers, leader.Answers());
-
-  // The promoted leader starts a fresh set stamped with the next
-  // generation and seeded with the merged answers.
-  Result<ShardWalSet> promoted =
-      OpenShardWalSet(&env, "led2", 2, cutover.value().next_generation);
-  ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
-  EXPECT_EQ(promoted.value().generation, 8u);
-  ShardedConsentLedger new_leader(2);
-  new_leader.AttachShardJournals(promoted.value().pointers());
-  FillLedger(new_leader, cutover.value().answers);
-  EXPECT_EQ(new_leader.Answers(), leader.Answers());
-}
-
-TEST(ReplicaTest, CutOverRejectsMixedGenerationSets) {
-  CrashingEnv env;
-  // Hand-assemble a set whose members carry different generations — the
-  // residue of mixing logs from a demoted and a promoted leader.
-  for (uint32_t k = 0; k < 2; ++k) {
-    WalOptions options;
-    options.shard = WalShardInfo{k, 2, /*generation=*/1 + k};
-    Result<std::unique_ptr<WalWriter>> wal =
-        WalWriter::Open(&env, ShardWalPath("bad", k), options);
-    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
-    ASSERT_TRUE(wal.value()->AppendAnswer(k, true).ok());
-    ASSERT_TRUE(wal.value()->Sync().ok());
-  }
-
-  LedgerReplica replica(&env, "bad", 2);
-  ASSERT_TRUE(replica.Poll().ok());  // each member is individually healthy
-  Result<LedgerReplica::Cutover> cutover = replica.CutOver();
-  EXPECT_EQ(cutover.status().code(), StatusCode::kFailedPrecondition);
-
-  // Cross-shard recovery rejects the same set the same way.
-  ConsentLedger merged;
-  Result<core::ShardRecoveryStats> stats =
-      core::RecoverShardedLedger(&env, "bad", 2, &merged);
-  EXPECT_EQ(stats.status().code(), StatusCode::kFailedPrecondition);
-
-  // And so does opening it for appending.
-  Result<ShardWalSet> reopened = OpenShardWalSet(&env, "bad", 2);
-  EXPECT_EQ(reopened.status().code(), StatusCode::kFailedPrecondition);
 }
 
 }  // namespace
