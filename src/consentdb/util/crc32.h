@@ -1,5 +1,6 @@
-// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) used to checksum WAL
-// records. Header-only: the table is built once per process on first use.
+// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) used to checksum the
+// records of util/codec.h (WAL and wire frames). Header-only: the table is
+// built once per process on first use.
 //
 // Crc32("123456789") == 0xCBF43926 (the standard check value).
 
